@@ -2,10 +2,11 @@
 metrics, and the fit probe that times and checks every penalized fit.
 
 Layers are the package modules: data, cox, penalties, solver, evaluation
-and cli. A span's layer is the prefix of its name. Per-layer metrics are
-normalised so runs of different length compare: counts and seconds are
-per workload operation, `.us` metrics are mean microseconds per call, and
-percentiles are over fits.
+and cli. A span's layer is the prefix of its name; `bench.*` spans are
+the benchmark's own work (output checks) and belong to no layer.
+Per-layer metrics are normalised so runs of different length compare:
+counts and seconds are per workload operation, `.us` metrics are mean
+microseconds per call, and percentiles are over fits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from time import perf_counter
 
 import numpy as np
 
-from spans import Tracer
+from spans import Patches, Tracer
 
 from tlammcox import cli, cox, data, evaluation, penalties, solver
 
@@ -165,7 +166,9 @@ def layer_metrics(tr: Tracer, ops: int):
     for name, start, end, _, self_s in rows:
         calls[name] = calls.get(name, 0) + 1
         total[name] = total.get(name, 0.0) + (end - start)
-        self_by_layer[name.split(".", 1)[0]] += self_s
+        layer = name.split(".", 1)[0]
+        if layer in self_by_layer:
+            self_by_layer[layer] += self_s
 
     def n(name):
         return calls.get(name, 0)
@@ -211,8 +214,8 @@ def layer_metrics(tr: Tracer, ops: int):
         "solver.ls.us": (us("solver.line_search"), accepted),
         "solver.ls.trials": (per_op(trials), trials),
         "solver.ls.accept_ratio": (accepted / trials if trials else 0.0, trials),
-        "solver.steps_p50": (_pct(steps, 50), len(steps)),
-        "solver.steps_p90": (_pct(steps, 90), len(steps)),
+        "solver.steps_p50": (pct(steps, 50), len(steps)),
+        "solver.steps_p90": (pct(steps, 90), len(steps)),
         "solver.cap_hits": (per_op(tr.weight["solver.cap_hits"]), len(steps)),
         "solver.nonconverged": (per_op(tr.weight["solver.nonconverged"]), len(steps)),
         "data.simulate.s": (per_op(total.get("data.simulate", 0.0)), n("data.simulate")),
@@ -266,40 +269,30 @@ def layer_metrics(tr: Tracer, ops: int):
     return common, specific
 
 
-def _pct(values, q):
-    return float(np.percentile(values, q)) if values else 0.0
-
-
 # ------------------------------------------------------------- fit probe
 
-class FitProbe:
+class FitProbe(Patches):
     """Times every penalized fit at the evaluation and CLI call sites and
     checks its output: beta finite with length p, and for fits whose
     convergence flag asserts it (TLAMM, see CHECK_KINDS) the folded-concave
     stationarity omega(grad + shift_gradient, beta, lambda) <= eps2,
     computed with the public functions. Check time is tallied apart so
-    callers can leave it out of their timings."""
+    callers can leave it out of their timings, and a traced run records
+    each check as one `bench.check` span, so it counts in no layer."""
 
     def __init__(self, tracer: Tracer | None = None):
+        super().__init__()
         self.tracer = tracer
         self.seconds = []
         self.failures = []
         self.check_s = 0.0
         self.ilamm_kkt_exceed = 0
-        self._undo = []
 
     def install(self):
         for module in (evaluation, cli):
             for name in ("tlamm", "ilamm"):
-                original = getattr(module, name)
-                self._undo.append((module, name, original))
-                setattr(module, name, self._wrap(name, original))
+                self._set(module, name, self._wrap(name, getattr(module, name)))
         return self
-
-    def uninstall(self):
-        while self._undo:
-            module, name, original = self._undo.pop()
-            setattr(module, name, original)
 
     def _wrap(self, kind, fn):
         def probed(dataset, spec, config=solver.SolverConfig(), *rest, **kwargs):
@@ -307,7 +300,8 @@ class FitProbe:
             fit = fn(dataset, spec, config, *rest, **kwargs)
             self.seconds.append(perf_counter() - t0)
             t1 = perf_counter()
-            with untraced(self.tracer):
+            with (self.tracer.opaque("bench.check") if self.tracer is not None
+                  else contextlib.nullcontext()):
                 self._check(kind, dataset, spec, config, fit)
             self.check_s += perf_counter() - t1
             return fit
@@ -339,3 +333,7 @@ def untraced(tracer):
 
 def median(values):
     return statistics.median(values) if values else 0.0
+
+
+def pct(values, q):
+    return float(np.percentile(values, q)) if values else 0.0

@@ -36,6 +36,7 @@ WORKLOADS = ("table1_serial", "cv_tune", "cohort_cli")
 DEFAULT_SEED = 1
 HELD_OUT_SEED = 9001
 SETUP_REPEATS = 7
+SETUP_SEED = 7   # every set-up probe fits the same dataset of the workload's shape
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 END_TO_END = {"setup_s": "s", "ops_per_s": "1/s", "peak_rss_mb": "MB"}
@@ -80,13 +81,12 @@ def peak_rss_mb():
 
 def measure_setup(workload, ctx, repeats):
     """Median over fresh interpreters of import + first cold fit."""
-    from workloads import derive_seed
     n, p = workload.cold_fit_shape()
     totals = []
     for k in range(repeats):
         out = subprocess.run(
             [sys.executable, os.path.join(HERE, "cold_start.py"), str(n), str(p),
-             str(derive_seed(ctx.seed, 3, k))],
+             str(SETUP_SEED)],
             capture_output=True, text=True, timeout=170, check=True, cwd=ROOT)
         probe = json.loads(out.stdout.strip().splitlines()[-1])
         ctx.checks.record(f"cold fit {k}", [] if probe["finite"] else ["beta not finite"])
@@ -137,15 +137,18 @@ def make_workload(name, ctx):
 
 
 def measure(workload, ctx):
-    """Repeat operations until the next one would overrun --seconds."""
+    """Run whole cycles of the workload's inputs, at least one, until the
+    next cycle would overrun --seconds. Every run thus measures the same
+    inputs, however fast the machine or the code."""
     t_end = perf_counter() + ctx.seconds
     i = 0
     while True:
-        workload.op(i)
-        i += 1
-        if i >= workload.min_ops and (
-                ctx.smoke or not workload.op_seconds
-                or perf_counter() + statistics.median(workload.op_seconds) > t_end):
+        t0 = perf_counter()
+        for _ in range(workload.cycle):
+            workload.op(i)
+            i += 1
+        now = perf_counter()
+        if ctx.smoke or now + (now - t0) > t_end:
             return
 
 
@@ -159,6 +162,7 @@ def run_one(args):
     ctx = Context(args.seed, args.seconds, args.smoke, out_dir)
     ctx.checks = Checks()
     workload = make_workload(args.workload, ctx)
+    workload.prepare()
     metrics, report = {}, {}
     try:
         if not args.trace:

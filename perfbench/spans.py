@@ -25,8 +25,29 @@ from collections import defaultdict
 from time import perf_counter
 
 
-class Tracer:
+class Patches:
+    """Attribute replacements, undone in reverse order by `uninstall()`."""
+
     def __init__(self):
+        self._undo = []
+
+    def _set(self, owner, attr, value):
+        self._undo.append((functools.partial(setattr, owner), attr, getattr(owner, attr)))
+        setattr(owner, attr, value)
+
+    def _set_item(self, mapping, key, value):
+        self._undo.append((mapping.__setitem__, key, mapping[key]))
+        mapping[key] = value
+
+    def uninstall(self):
+        while self._undo:
+            setter, key, original = self._undo.pop()
+            setter(key, original)
+
+
+class Tracer(Patches):
+    def __init__(self):
+        super().__init__()
         self.names = []
         self._ids = {}
         self.name = array("i")
@@ -37,7 +58,6 @@ class Tracer:
         self.samples = defaultdict(list)   # extra per-call samples
         self.paused = False
         self._stack = [-1]
-        self._undo = []
 
     # ------------------------------------------------------------ recording
 
@@ -58,23 +78,43 @@ class Tracer:
         def traced(*args, **kwargs):
             if self.paused:
                 return fn(*args, **kwargs)
-            nid = fixed if fixed is not None else self._name_id(name(args, kwargs))
-            i = len(self.start)
-            self.name.append(nid)
-            self.parent.append(self._stack[-1])
-            self.end.append(0.0)
-            self._stack.append(i)
-            self.start.append(perf_counter())
+            i = self._open(fixed if fixed is not None else self._name_id(name(args, kwargs)))
             try:
                 result = fn(*args, **kwargs)
             finally:
-                self.end[i] = perf_counter()
-                self._stack.pop()
+                self._close(i)
             if on_call is not None:
                 on_call(self, args, kwargs, result)
             return result
 
         return traced
+
+    def _open(self, nid):
+        i = len(self.start)
+        self.name.append(nid)
+        self.parent.append(self._stack[-1])
+        self.end.append(0.0)
+        self._stack.append(i)
+        self.start.append(perf_counter())
+        return i
+
+    def _close(self, i):
+        self.end[i] = perf_counter()
+        self._stack.pop()
+
+    @contextlib.contextmanager
+    def opaque(self, name):
+        """One span named `name` for the block; calls inside it are not
+        recorded, so all of its time is the span's own."""
+        if self.paused:
+            yield
+            return
+        i = self._open(self._name_id(name))
+        try:
+            with self.pause():
+                yield
+        finally:
+            self._close(i)
 
     @contextlib.contextmanager
     def pause(self):
@@ -102,23 +142,13 @@ class Tracer:
                 elif isinstance(value, dict):
                     for key, item in list(value.items()):
                         if item is fn:
-                            self._undo.append((value.__setitem__, key, item))
-                            value[key] = wrapper
+                            self._set_item(value, key, wrapper)
                             hits += 1
         if not hits:
             raise LookupError(f"no binding of {fn.__qualname__} found in {package}")
 
     def patch_method(self, cls, attr, wrapper):
         self._set(cls, attr, wrapper)
-
-    def _set(self, owner, attr, value):
-        self._undo.append((functools.partial(setattr, owner), attr, getattr(owner, attr)))
-        setattr(owner, attr, value)
-
-    def uninstall(self):
-        while self._undo:
-            setter, key, original = self._undo.pop()
-            setter(key, original)
 
     # ------------------------------------------------------------- analysis
 

@@ -2,11 +2,13 @@
 
 Each workload repeats one operation on seeded inputs: a batch of Table-1
 grid units (table1_serial), a cross_validate call (cv_tune), or a CLI
-pipeline simulate -> fit -> concordance (cohort_cli). `op(i)` runs the
-i-th operation, records its checks and appends its wall seconds, check
-time left out, to `op_seconds`; `units` counts what `ops_per_s` divides
-by. `finish()` runs the run-level checks and returns the report metrics
-as name -> (value, unit, samples).
+pipeline simulate -> fit -> concordance (cohort_cli). A seed fixes a
+cycle of `cycle` inputs, and operation i runs input i % cycle; runs
+measure whole cycles only, so the inputs a run measures do not depend on
+how fast the machine or the code is. `op(i)` runs the i-th operation,
+records its checks, and passes the wall seconds of its steps, check time
+left out, and the units it completed to `_record`. `finish()` runs the run-level
+checks and returns the report metrics as name -> (value, unit, samples).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from instrument import median, untraced
+from instrument import median, pct, untraced
 
 from tlammcox import cli, data, evaluation
 from tlammcox.data import SimulationConfig, simulate_dataset
@@ -35,20 +37,20 @@ L2_BANDS = {"oracle": (0.19, 0.39), "tlamm-mcp": (0.19, 0.49),
 S = 10
 
 FULL = {
-    "grid": {"n": 300, "p": 2400, "reps": 2},
-    "cv": {"n": 200, "p": 100, "c_grid": None},
-    "cohort": {"n": 10000, "p": 100},
+    "grid": {"n": 300, "p": 2400, "reps": 2, "cycle": 12},
+    "cv": {"n": 200, "p": 100, "c_grid": None, "cycle": 4},
+    "cohort": {"n": 10000, "p": 100, "cycle": 1},
 }
 SMOKE = {
-    "grid": {"n": 60, "p": 40, "reps": 1},
-    "cv": {"n": 60, "p": 20, "c_grid": [0.3, 0.6, 0.9]},
-    "cohort": {"n": 400, "p": 10},
+    "grid": {"n": 60, "p": 40, "reps": 1, "cycle": 2},
+    "cv": {"n": 60, "p": 20, "c_grid": [0.3, 0.6, 0.9], "cycle": 2},
+    "cohort": {"n": 400, "p": 10, "cycle": 1},
 }
 
 
 def derive_seed(seed, stream, index) -> int:
     """Input seed for item `index` of `stream` (0 measured inputs, 1 warm-up,
-    2 CV folds, 3 set-up probes)."""
+    2 CV folds)."""
     ss = np.random.SeedSequence([int(seed), int(stream), int(index)])
     return int(ss.generate_state(1, np.uint32)[0])
 
@@ -70,13 +72,17 @@ class Checks:
 
 
 class Workload:
-    min_ops = 1
-
     def __init__(self, ctx):
         self.ctx = ctx
         self.shape = (SMOKE if ctx.smoke else FULL)[self.shape_key]
+        self.cycle = self.shape["cycle"]
         self.op_seconds = []
         self.units = 0
+        self._best = {}         # input -> fastest repeat of each step, seconds
+        self._input_units = {}  # input -> units one operation on it completes
+
+    def prepare(self):
+        """Make the inputs of one cycle; runs before anything is traced."""
 
     def _clock(self, fn):
         """(result, seconds without fit-check time, fit-check failures)."""
@@ -100,15 +106,30 @@ class Workload:
         """(n, p) of the fit timed by the set-up probe."""
         return self.shape["n"], self.shape["p"]
 
+    def _record(self, i, steps, units):
+        k = i % self.cycle
+        self.op_seconds.append(sum(steps))
+        self.units += units
+        best = self._best.get(k, steps)
+        self._best[k] = [min(a, b) for a, b in zip(best, steps)]
+        self._input_units[k] = units
+
     def ops_per_s(self):
-        return self.units / sum(self.op_seconds) if self.op_seconds else 0.0
+        """Units of one cycle over its seconds, each step of each input
+        timed by its fastest repeat: other load on the machine only ever
+        slows a step down, so the fastest repeat is the steadiest estimate."""
+        if not self._best:
+            return 0.0
+        return (sum(self._input_units.values())
+                / sum(sum(steps) for steps in self._best.values()))
 
 
 # ------------------------------------------------------------------ grid
 
 class Table1(Workload):
     """Table-1 grid units at n=300, p=2400, all six methods, fixed c; an
-    operation is one unit, run in batches of one run_experiment call."""
+    operation is one unit, run in batches of one run_experiment call. A
+    cycle is `cycle` batches, each with its own grid seed."""
 
     shape_key = "grid"
 
@@ -116,6 +137,9 @@ class Table1(Workload):
         super().__init__(ctx)
         self.rows = []
         self.seeds = []
+
+    def prepare(self):
+        self.seeds = [derive_seed(self.ctx.seed, 0, k) for k in range(self.cycle)]
 
     def _batch(self, seed, threads):
         grid = ExperimentGrid(
@@ -129,14 +153,12 @@ class Table1(Workload):
         self._batch(derive_seed(self.ctx.seed, 1, 0), 1)
 
     def op(self, i):
-        seed = derive_seed(self.ctx.seed, 0, i)
+        seed = self.seeds[i % self.cycle]
         done = self._timed(f"batch seed {seed}", lambda: self._batch(seed, 1))
         if done is None:
             return
         result, seconds, fit_problems = done
-        self.op_seconds.append(seconds)
-        self.seeds.append(seed)
-        self.units += len(result.rows)
+        self._record(i, [seconds], len(result.rows))
         for row in result.rows:
             problems = []
             if "error" in row:
@@ -150,7 +172,7 @@ class Table1(Workload):
         self.rows.extend(result.rows)
 
     def pool_pass(self, threads):
-        """The first measured batch again through the evaluation process
+        """The first batch of the cycle again through the evaluation process
         pool. Every pooled row must match its serial row; returns the pool
         metrics. Row seconds are the program's own timing of each fit,
         taken inside the worker."""
@@ -180,6 +202,7 @@ class Table1(Workload):
         }
 
     def finish(self):
+        # whole cycles repeat the same units, so medians are those of one cycle
         ok_rows = [r for r in self.rows if "error" not in r]
         med = {}
         for m in METHODS:
@@ -203,7 +226,7 @@ class Table1(Workload):
         report = {
             "units_per_s": (self.ops_per_s(), "1/s", self.units),
             "fit_s_p50": (median(fits), "s", len(fits)),
-            "fit_s_p90": (_pct(fits, 90), "s", len(fits)),
+            "fit_s_p90": (pct(fits, 90), "s", len(fits)),
             "l2_tlamm_p50": (float(np.median([r["l2"] for r in tl])), "l2", len(tl)),
             "fp_tlamm_p50": (float(np.median([r["fp"] for r in tl])), "count", len(tl)),
         }
@@ -220,18 +243,21 @@ class Table1(Workload):
 
 class CvTune(Workload):
     """cross_validate at the acceptance tuning shape, scad and mcp in turn,
-    each call on its own seeded dataset and folds: a call's cost depends
-    strongly on its data, so a run averages over as many datasets as it
-    can."""
+    each call on its own seeded dataset and folds. A call's cost depends
+    strongly on its data (how many small-c fits diverge), so a cycle holds
+    `cycle` calls and every run measures the whole cycle."""
 
     shape_key = "cv"
-    min_ops = 2
     kinds = ("scad", "mcp")
 
     def _dataset(self, stream, index):
         return data.simulate_dataset(SimulationConfig(
             n=self.shape["n"], p=self.shape["p"], s=S,
             seed=derive_seed(self.ctx.seed, stream, index)))[0]
+
+    def prepare(self):
+        self.inputs = [(self._dataset(0, k), self.kinds[k % 2],
+                        derive_seed(self.ctx.seed, 2, k)) for k in range(self.cycle)]
 
     def _cv(self, ds, kind, fold_seed, c_grid):
         return evaluation.cross_validate(ds, kind, folds=3, c_grid=c_grid,
@@ -242,17 +268,14 @@ class CvTune(Workload):
         self._cv(self._dataset(1, 0), "scad", 0, [0.5, 1.0])
 
     def op(self, i):
-        kind = self.kinds[i % 2]
-        ds = self._dataset(0, i)
-        fold_seed = derive_seed(self.ctx.seed, 2, i)
+        ds, kind, fold_seed = self.inputs[i % self.cycle]
         label = f"cv {kind} op {i}"
         done = self._timed(label, lambda: self._cv(ds, kind, fold_seed,
                                                    self.shape["c_grid"]))
         if done is None:
             return
         res, seconds, problems = done
-        self.op_seconds.append(seconds)
-        self.units += 1
+        self._record(i, [seconds], 1)
         problems = list(problems)
         if not all(math.isfinite(c) for c in res.criteria):
             problems.append("non-finite CV criterion")
@@ -263,7 +286,7 @@ class CvTune(Workload):
         return {
             "cv_s": (median(self.op_seconds), "s", len(self.op_seconds)),
             "fit_s_p50": (median(fits), "s", len(fits)),
-            "fit_s_p90": (_pct(fits, 90), "s", len(fits)),
+            "fit_s_p90": (pct(fits, 90), "s", len(fits)),
         }
 
 
@@ -351,14 +374,13 @@ class CohortCli(Workload):
     def op(self, i):
         label = f"pipeline {i}"
         done = self._timed(label, lambda: self._pipeline(
-            f"op-{i}", self.shape["n"], derive_seed(self.ctx.seed, 0, i)))
+            f"op-{i}", self.shape["n"], derive_seed(self.ctx.seed, 0, i % self.cycle)))
         if done is None:
             return
         (steps, problems), _, _ = done
         for key, seconds in zip(self.parts, steps):
             self.parts[key].append(seconds)
-        self.op_seconds.append(sum(steps))
-        self.units += 1
+        self._record(i, steps, 1)
         self.ctx.checks.record(label, problems)
 
     def finish(self):
@@ -367,6 +389,3 @@ class CohortCli(Workload):
         report["fit_s_p50"] = (median(fits), "s", len(fits))
         return report
 
-
-def _pct(values, q):
-    return float(np.percentile(values, q)) if values else 0.0
