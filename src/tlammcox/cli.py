@@ -27,12 +27,10 @@ from .diagnostics import lse_probe
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (ExperimentGrid, cross_validate, l2_error,
                          run_experiment, selection_metrics)
-from .penalties import PenaltySpec, shift_gradient
+from .penalties import (DEFAULT_MCP_GAMMA, DEFAULT_SCAD_A, PenaltySpec,
+                        shift_gradient)
 from .penalties import value as penalty_value
 from .solver import SolverConfig, ilamm, omega, tlamm
-
-TABLE1_METHODS = ("oracle", "lasso", "tlamm-mcp", "tlamm-scad",
-                  "ilamm-mcp", "ilamm-scad")
 
 
 # ---------------------------------------------------------- config parsing
@@ -241,20 +239,20 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     methods = tuple(obj["methods"])
     seed = int(seed_override if seed_override is not None else obj.get("seed", 0))
     c_by_penalty = {k: float(v) for k, v in obj.get("c_by_penalty", {}).items()}
+    signal = _parse_signal(obj["signal"]) if "signal" in obj else ConstantSignal(0.8)
+    scad_a = float(obj.get("scad_a", DEFAULT_SCAD_A))
+    mcp_gamma = float(obj.get("mcp_gamma", DEFAULT_MCP_GAMMA))
     if "tune" in obj:
         tune = obj["tune"]
         _require_keys(tune, {"n", "p", "folds", "seed", "design"}, set(), "grid.tune")
         tune_design = _parse_design(tune["design"]) if "design" in tune else Independent()
         sim = SimulationConfig(n=int(tune.get("n", 200)), p=int(tune.get("p", 100)),
-                               s=int(obj.get("s", 10)),
-                               signal=_parse_signal(obj["signal"]) if "signal" in obj
-                               else ConstantSignal(0.8),
+                               s=int(obj.get("s", 10)), signal=signal,
                                design=tune_design, seed=int(tune.get("seed", seed)))
         tune_data, _ = simulate_dataset(sim)
         kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
         for kind in sorted(kinds - set(c_by_penalty)):
-            shape = {"lasso": float("nan"), "scad": float(obj.get("scad_a", 3.7)),
-                     "mcp": float(obj.get("mcp_gamma", 3.0))}[kind]
+            shape = {"lasso": float("nan"), "scad": scad_a, "mcp": mcp_gamma}[kind]
             cv = cross_validate(tune_data, kind, folds=int(tune.get("folds", 3)),
                                 config=solver_cfg, seed=seed, shape=shape,
                                 threads=threads)
@@ -264,11 +262,9 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
         p_values=tuple(int(v) for v in obj["p"]),
         designs=designs, methods=methods, reps=int(obj["reps"]), seed=seed,
         c_by_penalty=c_by_penalty,
-        s=int(obj.get("s", 10)),
-        signal=_parse_signal(obj["signal"]) if "signal" in obj else ConstantSignal(0.8),
+        s=int(obj.get("s", 10)), signal=signal,
         censoring=tuple(obj.get("censoring", (2.0, 3.0))),
-        scad_a=float(obj.get("scad_a", 3.7)),
-        mcp_gamma=float(obj.get("mcp_gamma", 3.0)))
+        scad_a=scad_a, mcp_gamma=mcp_gamma)
     return grid
 
 
@@ -286,7 +282,7 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
         "seed": grid.seed,
     })
     if (grid.n_values == (300,) and grid.p_values == (2400,)
-            and set(grid.methods) == set(TABLE1_METHODS)):
+            and set(grid.methods) == set(evaluation.METHODS)):
         with open(os.path.join(out_dir, "table1.csv"), "w", encoding="utf-8") as fh:
             fh.write("method,l2,tp,fp\n")
             for cell in result.cell_medians:

@@ -18,6 +18,11 @@ from .errors import (CapabilityError, DataError, IterationLimitError,
 __all__ = ["CoxObjective", "fit_restricted"]
 
 HESSIAN_P_CAP = 500
+# eta = X[:, S] @ beta[S] when p >= _GATHER_MIN_P and |S| * _GATHER_RATIO <= p,
+# else dense X @ beta: at 300x2400 the gather takes 21 us (|S|=25) to 87 us
+# (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
+_GATHER_RATIO = 32
+_GATHER_MIN_P = 500
 
 
 class CoxObjective:
@@ -35,7 +40,6 @@ class CoxObjective:
         self.cache = cache if cache is not None else build_risk_cache(dataset)
         self.n = dataset.n
         self.p = dataset.p
-        self._x_ord = np.ascontiguousarray(dataset.covariates[self.cache.order])
         self._event_rows = np.concatenate(
             [idx for _, idx in self.cache.event_groups]).astype(np.intp)
         self._x_event_sum = dataset.covariates[self._event_rows].sum(axis=0)
@@ -50,7 +54,12 @@ class CoxObjective:
             raise ValueError(f"beta must have length {self.p}, got shape {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta contains non-finite entries")
-        return self.dataset.covariates @ beta
+        x = self.dataset.covariates
+        if self.p >= _GATHER_MIN_P:
+            support = np.flatnonzero(beta)
+            if support.size * _GATHER_RATIO <= self.p:
+                return x[:, support] @ beta[support]
+        return x @ beta
 
     def _risk_sums(self, eta):
         """Offset exp weights in descending-time order plus the prefix sums
@@ -61,6 +70,31 @@ class CoxObjective:
         s0 = cum[self._risk_sizes - 1]
         return offset, w, s0
 
+    def _sweep(self, beta, want_value, want_grad):
+        """One descending-time sweep; returns (value or None, grad or None)."""
+        eta = self._eta(beta)
+        offset, w, s0 = self._risk_sums(eta)
+        value = grad = None
+        if want_value:
+            with np.errstate(divide="ignore"):
+                log_terms = self._d * (np.log(s0) + offset)
+            value = float((log_terms.sum() - eta[self._event_rows].sum()) / self.n)
+            if not np.isfinite(value):
+                self._raise_nonfinite("partial likelihood", beta)
+        if want_grad:
+            # coefficient c_q = sum over groups whose risk prefix covers sorted
+            # position q of d_g / S0_g: a reverse cumsum of boundary marks
+            # (boundaries are distinct), scattered back to row order
+            marks = np.zeros(self.n)
+            r = np.empty(self.n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                marks[self._risk_sizes - 1] = self._d / s0
+                r[self.cache.order] = w * np.cumsum(marks[::-1])[::-1]
+                grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
+            if not np.all(np.isfinite(grad)):
+                self._raise_nonfinite("gradient", beta)
+        return value, grad
+
     def _raise_nonfinite(self, what, beta):
         norm = float(np.linalg.norm(beta))
         raise NonFiniteError(f"{what} is non-finite at ||beta||_2 = {norm:.6g}")
@@ -69,44 +103,14 @@ class CoxObjective:
 
     def nll(self, beta) -> float:
         """(1/n) sum over events of [log sum_{t_j >= t_i} e^{eta_j} - eta_i]."""
-        eta = self._eta(beta)
-        offset, _, s0 = self._risk_sums(eta)
-        with np.errstate(divide="ignore"):
-            log_terms = self._d * (np.log(s0) + offset)
-        value = (log_terms.sum() - eta[self._event_rows].sum()) / self.n
-        if not np.isfinite(value):
-            self._raise_nonfinite("partial likelihood", beta)
-        return float(value)
+        return self._sweep(beta, True, False)[0]
 
     def gradient(self, beta) -> np.ndarray:
         """Exact gradient in one descending-time sweep, O(n p)."""
-        eta = self._eta(beta)
-        _, w, s0 = self._risk_sums(eta)
-        # coefficient c_q = sum over groups whose risk prefix covers sorted
-        # position q of d_g / S0_g; a reverse cumsum of boundary markers
-        marks = np.zeros(self.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.add.at(marks, self._risk_sizes - 1, self._d / s0)
-            c = np.cumsum(marks[::-1])[::-1]
-            grad = (self._x_ord.T @ (w * c) - self._x_event_sum) / self.n
-        if not np.all(np.isfinite(grad)):
-            self._raise_nonfinite("gradient", beta)
-        return grad
+        return self._sweep(beta, False, True)[1]
 
     def value_and_gradient(self, beta):
-        eta = self._eta(beta)
-        offset, w, s0 = self._risk_sums(eta)
-        with np.errstate(divide="ignore"):
-            log_terms = self._d * (np.log(s0) + offset)
-        value = (log_terms.sum() - eta[self._event_rows].sum()) / self.n
-        marks = np.zeros(self.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.add.at(marks, self._risk_sizes - 1, self._d / s0)
-            c = np.cumsum(marks[::-1])[::-1]
-            grad = (self._x_ord.T @ (w * c) - self._x_event_sum) / self.n
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            self._raise_nonfinite("partial likelihood", beta)
-        return float(value), grad
+        return self._sweep(beta, True, True)
 
     def hessian(self, beta, p_cap: int = HESSIAN_P_CAP) -> np.ndarray:
         """(1/n) sum over events of S2/S0 - (S1/S0)^{x2}, accumulated
@@ -124,7 +128,7 @@ class CoxObjective:
         for g in range(len(self._d) - 1, -1, -1):
             boundary = self._risk_sizes[g]
             if boundary > filled:
-                block = self._x_ord[filled:boundary]
+                block = self.dataset.covariates[self.cache.order[filled:boundary]]
                 wb = w[filled:boundary]
                 s0 += wb.sum()
                 s1 += block.T @ wb

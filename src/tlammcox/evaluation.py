@@ -10,6 +10,7 @@ partial likelihood picks up from fold-specific risk sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from .cox import CoxObjective, fit_restricted
 from .data import (ConstantSignal, Signal, SimulationConfig, SurvivalDataset,
                    simulate_dataset)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
-from .penalties import PenaltySpec
+from .penalties import DEFAULT_MCP_GAMMA, DEFAULT_SCAD_A, PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
 
 __all__ = ["SelectionMetrics", "CvResult", "ExperimentGrid",
@@ -162,7 +163,7 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
         lam = c * math.sqrt(math.log(dataset.p) / dataset.n)
         for train in trains:
             tasks.append((train, PenaltySpec(penalty_kind, lam, shape), config))
-    betas = _pmap(_cv_fit_task, tasks, threads)
+    betas = list(_pmap(_cv_fit_task, tasks, threads))
 
     criteria = []
     i = 0
@@ -195,8 +196,8 @@ class ExperimentGrid:
     s: int = 10
     signal: Signal = ConstantSignal(0.8)
     censoring: tuple = (2.0, 3.0)
-    scad_a: float = 3.7
-    mcp_gamma: float = 3.0
+    scad_a: float = DEFAULT_SCAD_A
+    mcp_gamma: float = DEFAULT_MCP_GAMMA
 
     def __post_init__(self):
         for m in self.methods:
@@ -228,24 +229,16 @@ def method_penalty_kind(method: str):
     return method.split("-", 1)[1]
 
 
-def _cells(grid: ExperimentGrid):
-    idx = 0
-    for di, design in enumerate(grid.designs):
-        for method in grid.methods:
-            for n in grid.n_values:
-                for p in grid.p_values:
-                    yield idx, di, design, method, int(n), int(p)
-                    idx += 1
-
-
 def _data_seed(master_seed, design_idx, n, p, rep) -> int:
     ss = np.random.SeedSequence([int(master_seed), design_idx, n, p, rep])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _run_rep(args):
-    """One (cell, rep) unit: simulate, fit, score. Returns a row dict."""
-    (grid, config, design_idx, design, method, n, p, rep) = args
+    """One (design, n, p, rep) dataset: simulate it once, then fit and
+    score every method on it in grid order. Returns one row dict per
+    method."""
+    (grid, config, design_idx, design, n, p, rep) = args
     sim = SimulationConfig(n=n, p=p, s=min(grid.s, p), signal=grid.signal,
                            design=design,
                            censoring_low=grid.censoring[0],
@@ -253,49 +246,53 @@ def _run_rep(args):
                            seed=_data_seed(grid.seed, design_idx, n, p, rep))
     dataset, beta_star = simulate_dataset(sim)
     true_support = np.flatnonzero(beta_star != 0)
-    kind = method_penalty_kind(method)
-    row = {"design": design.name, "penalty": method, "n": n, "p": p, "rep": rep}
-    try:
-        if method == "oracle":
-            t0 = time.perf_counter()
-            beta = fit_restricted(dataset, true_support)
-            seconds = time.perf_counter() - t0
-            iters1 = iters2 = 0
-        else:
-            lam = grid.c_by_penalty[kind] * math.sqrt(math.log(p) / n)
-            shape = {"lasso": float("nan"), "scad": grid.scad_a,
-                     "mcp": grid.mcp_gamma}[kind]
-            spec = PenaltySpec(kind, lam, shape)
-            fit: FitResult = (tlamm if method.startswith(("lasso", "tlamm")) else ilamm)(
-                dataset, spec, config)
-            beta, seconds = fit.beta, fit.seconds
-            iters1, iters2 = fit.iterations
-    except (SolverError, DataError) as exc:
-        row.update(error=f"{type(exc).__name__}: {exc}")
-        return row
-    sel = selection_metrics(beta, true_support)
-    row.update(l2=l2_error(beta, beta_star), tp=sel.tp, fp=sel.fp,
-               sens=sel.sensitivity, spec=sel.specificity,
-               iters1=iters1, iters2=iters2, seconds=seconds)
-    return row
+    shapes = {"lasso": float("nan"), "scad": grid.scad_a, "mcp": grid.mcp_gamma}
+    rows = []
+    for method in grid.methods:
+        row = {"design": design.name, "penalty": method, "n": n, "p": p, "rep": rep}
+        rows.append(row)
+        try:
+            if method == "oracle":
+                t0 = time.perf_counter()
+                beta = fit_restricted(dataset, true_support)
+                seconds = time.perf_counter() - t0
+                iters1 = iters2 = 0
+            else:
+                kind = method_penalty_kind(method)
+                lam = grid.c_by_penalty[kind] * math.sqrt(math.log(p) / n)
+                spec = PenaltySpec(kind, lam, shapes[kind])
+                fit: FitResult = (tlamm if method.startswith(("lasso", "tlamm"))
+                                  else ilamm)(dataset, spec, config)
+                beta, seconds = fit.beta, fit.seconds
+                iters1, iters2 = fit.iterations
+        except (SolverError, DataError) as exc:
+            row.update(error=f"{type(exc).__name__}: {exc}")
+            continue
+        sel = selection_metrics(beta, true_support)
+        row.update(l2=l2_error(beta, beta_star), tp=sel.tp, fp=sel.fp,
+                   sens=sel.sensitivity, spec=sel.specificity,
+                   iters1=iters1, iters2=iters2, seconds=seconds)
+    return rows
 
 
 def _pmap(fn, tasks, threads):
+    """fn over tasks, results yielded in task order as they are ready; a
+    process pool of `threads` workers when threads > 1."""
     if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
+        yield from pool.map(fn, tasks, chunksize=1)
 
 
 def format_row(row) -> str:
+    vals = [row["design"], row["penalty"], row["n"], row["p"], row["rep"]]
     if "error" in row:
-        vals = [row["design"], row["penalty"], row["n"], row["p"], row["rep"],
-                "nan", "nan", "nan", "nan", "nan", "nan", "nan", "nan"]
+        vals += ["nan"] * 8
     else:
-        vals = [row["design"], row["penalty"], row["n"], row["p"], row["rep"],
-                repr(float(row["l2"])), row["tp"], row["fp"],
-                repr(float(row["sens"])), repr(float(row["spec"])),
-                row["iters1"], row["iters2"], repr(float(row["seconds"]))]
+        vals += [repr(float(row["l2"])), row["tp"], row["fp"],
+                 repr(float(row["sens"])), repr(float(row["spec"])),
+                 row["iters1"], row["iters2"], repr(float(row["seconds"]))]
     return ",".join(str(v) for v in vals)
 
 
@@ -304,42 +301,37 @@ def run_experiment(grid: ExperimentGrid,
                    threads: int = 1, out_csv=None) -> ExperimentResult:
     """Run every (design, method, n, p, rep) unit of the grid.
 
-    Units are independently seeded from (seed, design, n, p, rep), so all
-    methods see identical data within a rep and results do not depend on
-    the thread count. Failed units are recorded and skipped in medians.
-    Rows stream to out_csv in deterministic order as they complete.
+    One task simulates the (design, n, p, rep) dataset, seeded from those
+    and the grid seed, once and fits every method on it, so all methods
+    see identical data within a rep and results do not depend on the
+    thread count. Rows are rep-major (design, n, p, rep, then method, each
+    in grid order) and stream to out_csv rep by rep. Failed units are
+    recorded and skipped in medians.
     """
-    tasks = []
-    for idx, di, design, method, n, p in _cells(grid):
-        for rep in range(grid.reps):
-            tasks.append((grid, config, di, design, method, n, p, rep))
+    tasks = [(grid, config, di, design, int(n), int(p), rep)
+             for (di, design), n, p, rep in itertools.product(
+                 enumerate(grid.designs), grid.n_values, grid.p_values,
+                 range(grid.reps))]
     fh = open(str(out_csv), "w", encoding="utf-8") if out_csv else None
     rows = []
     try:
         if fh:
             fh.write(EXPERIMENT_CSV_HEADER + "\n")
             fh.flush()
-        if threads <= 1:
-            for t in tasks:
-                row = _run_rep(t)
-                rows.append(row)
-                if fh:
-                    fh.write(format_row(row) + "\n")
-                    fh.flush()
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for row in pool.map(_run_rep, tasks, chunksize=1):
-                    rows.append(row)
-                    if fh:
-                        fh.write(format_row(row) + "\n")
-                        fh.flush()
+        for rep_rows in _pmap(_run_rep, tasks, threads):
+            rows.extend(rep_rows)
+            if fh:
+                fh.writelines(format_row(row) + "\n" for row in rep_rows)
+                fh.flush()
     finally:
         if fh:
             fh.close()
 
     failures = [r for r in rows if "error" in r]
     medians = []
-    for idx, di, design, method, n, p in _cells(grid):
+    for design, method, n, p in itertools.product(
+            grid.designs, grid.methods, grid.n_values, grid.p_values):
+        n, p = int(n), int(p)
         cell_rows = [r for r in rows
                      if r["design"] == design.name and r["penalty"] == method
                      and r["n"] == n and r["p"] == p and "error" not in r]

@@ -251,7 +251,8 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     """Iterative weighted-l1 baseline: after the burn-in, repeatedly solve
     an adaptive Lasso whose weights are the penalty derivative at the
     previous stage's coefficients; stops early once consecutive stage
-    outputs are within eps2 in l2, capped at max_stages."""
+    outputs are within eps2 in l2; running out of max_stages first clears
+    converged[1]."""
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi = stage1_lasso(objective, spec.lam, config)
@@ -272,6 +273,8 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
         b_prev = b_next
         if gap <= config.eps2:
             break
+    else:
+        ok_tighten = False
     return FitResult(beta=b_prev, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, total_steps), trace=trace,
                      converged=(ok1, ok_tighten),

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
+from tlammcox import cox
 from tlammcox import (CapabilityError, ConstantSignal, CoxObjective,
                       DataError, IterationLimitError, NonFiniteError,
                       SimulationConfig, SurvivalDataset, fit_restricted,
@@ -155,6 +156,71 @@ def test_tied_times_share_risk_set():
     denom = np.exp(eta).sum()
     expected = (2 * math.log(denom) - eta[0] - eta[1]) / 3
     assert_allclose(obj.nll(beta), expected, rtol=1e-12)
+
+
+def dense_reference(ds, beta):
+    """(value, gradient) by explicit risk-set sums over an events x subjects
+    membership matrix, dense X @ beta throughout."""
+    x, t = ds.covariates, ds.times
+    ev = np.flatnonzero(ds.status == 1)
+    eta = x @ beta
+    w = np.exp(eta - eta.max())
+    at_risk = (t[None, :] >= t[ev][:, None]).astype(float)
+    s0 = at_risk @ w
+    s1 = at_risk @ (w[:, None] * x)
+    value = (np.sum(np.log(s0) + eta.max()) - eta[ev].sum()) / ds.n
+    grad = ((s1 / s0[:, None]).sum(axis=0) - x[ev].sum(axis=0)) / ds.n
+    return value, grad
+
+
+@pytest.mark.parametrize("support_size", [25, 2400])
+def test_gather_and_dense_eta_match_dense_reference(monkeypatch, support_size):
+    ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
+    rng = np.random.default_rng(17)
+    beta = np.zeros(ds.p)
+    beta[rng.choice(ds.p, support_size, replace=False)] = 0.3 * rng.standard_normal(support_size)
+    ref_value, ref_grad = dense_reference(ds, beta)
+    # entries near zero come out of cancellation, so their error is judged
+    # against the gradient's scale
+    atol = 1e-12 * np.abs(ref_grad).max()
+    obj = CoxObjective(ds)
+    # the default rule gathers a 25-column support at p=2400 and takes the
+    # dense product on a full one; raising the size floor forces dense
+    for min_p in (cox._GATHER_MIN_P, ds.p + 1):
+        monkeypatch.setattr(cox, "_GATHER_MIN_P", min_p)
+        value, grad = obj.value_and_gradient(beta)
+        assert_allclose(obj.nll(beta), ref_value, rtol=1e-12)
+        assert_allclose(obj.gradient(beta), ref_grad, rtol=1e-12, atol=atol)
+        assert_allclose(value, ref_value, rtol=1e-12)
+        assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
+
+
+def test_hessian_matches_explicit_risk_set_sums():
+    rng = np.random.default_rng(18)
+    n, p = 40, 5
+    times = rng.integers(1, 15, size=n).astype(float)   # many tied times
+    status = (rng.uniform(size=n) > 0.3).astype(int)
+    x = rng.standard_normal((n, p))
+    ds = SurvivalDataset(times, status, x)
+    beta = 0.4 * rng.standard_normal(p)
+    w = np.exp(x @ beta)
+    expected = np.zeros((p, p))
+    for i in np.flatnonzero(status == 1):
+        risk = times >= times[i]
+        s0 = w[risk].sum()
+        xbar = (w[risk] @ x[risk]) / s0
+        s2 = (x[risk] * w[risk][:, None]).T @ x[risk]
+        expected += s2 / s0 - np.outer(xbar, xbar)
+    assert_allclose(CoxObjective(ds).hessian(beta), expected / n, rtol=1e-12, atol=1e-15)
+
+
+def test_objective_holds_no_copy_of_covariates():
+    ds, _ = simulate_dataset(SimulationConfig(n=80, p=30, s=4, seed=8))
+    obj = CoxObjective(ds)
+    arrays = [v for v in list(vars(obj).values()) + list(vars(obj.cache).values())
+              if isinstance(v, np.ndarray)]
+    assert obj.dataset.covariates is ds.covariates
+    assert all(a.size < ds.n * ds.p for a in arrays)
 
 
 def test_nonfinite_error_reports_norm():

@@ -214,6 +214,24 @@ def test_run_experiment_threads_match_serial(tmp_path):
     assert strip(tmp_path / "s.csv") == strip(tmp_path / "p.csv")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_two_method_grid_rows_equal_one_method_grids(threads):
+    # one simulation per rep serves every method, so a method's rows do not
+    # depend on which other methods share the grid; rows come rep-major
+    def rows(methods):
+        grid = ExperimentGrid(n_values=(60,), p_values=(8,),
+                              designs=(Independent(),), methods=methods,
+                              reps=2, seed=16, c_by_penalty={"mcp": 0.6}, s=3)
+        res = run_experiment(grid, SolverConfig(), threads=threads)
+        return [{k: v for k, v in r.items() if k != "seconds"} for r in res.rows]
+
+    both = rows(("tlamm-mcp", "oracle"))
+    assert [(r["rep"], r["penalty"]) for r in both] == [
+        (0, "tlamm-mcp"), (0, "oracle"), (1, "tlamm-mcp"), (1, "oracle")]
+    assert both[0::2] == rows(("tlamm-mcp",))
+    assert both[1::2] == rows(("oracle",))
+
+
 def test_run_experiment_failures_marked(tmp_path):
     # a censoring window this tight censors everything, so every fit fails
     # with a no-events error; the run continues and marks the cell

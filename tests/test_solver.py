@@ -264,6 +264,15 @@ def test_max_iter_flagged_not_raised():
     assert fit.iterations == (2, 2)
 
 
+def test_ilamm_stage_cap_clears_convergence_flag():
+    # the seed-7 benchmark fit needs more than one reweighted stage to
+    # settle, so a cap of two stages cuts the loop off unconverged
+    ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
+    spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
+    assert ilamm(ds, spec, SolverConfig(), max_stages=2).converged == (True, False)
+    assert ilamm(ds, spec, SolverConfig()).converged == (True, True)
+
+
 def test_line_search_failure_propagates_from_fit():
     ds, _ = simulate_dataset(SimulationConfig(n=100, p=10, s=3, seed=16))
     with pytest.raises(LineSearchError):
