@@ -11,6 +11,8 @@ a configurable window.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -269,20 +271,16 @@ def simulate_dataset(config: SimulationConfig):
 
 # ------------------------------------------------------------------ CSV I/O
 
-def _format(v: float) -> str:
-    return repr(float(v))
-
-
 def save_csv(dataset: SurvivalDataset, path, true_beta=None, seed=None) -> None:
-    """Write `time,status,x1,...,xp`; optionally a `<stem>.truth.json`
+    """Write `time,status,x1,...,xp`, floats as shortest round-trip repr so
+    that load_csv gives back the same bits; optionally a `<stem>.truth.json`
     sidecar holding the generating coefficients and seed."""
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time,status," + ",".join(f"x{j+1}" for j in range(dataset.p)) + "\n")
-        for i in range(dataset.n):
-            row = [_format(dataset.times[i]), str(int(dataset.status[i]))]
-            row.extend(_format(v) for v in dataset.covariates[i])
-            fh.write(",".join(row) + "\n")
+        for t, d, row in zip(dataset.times.tolist(), dataset.status.tolist(),
+                             dataset.covariates.tolist()):
+            fh.write(f"{t!r},{d},{','.join(map(repr, row))}\n")
     if true_beta is not None:
         sidecar = truth_sidecar_path(path)
         payload = {"true_beta": [float(v) for v in true_beta],
@@ -316,7 +314,7 @@ def load_csv(path) -> SurvivalDataset:
         if cols != expected:
             raise DataError(f"{path}: covariate columns must be x1..x{len(cols)-2} in order")
         p = len(cols) - 2
-        times, status, rows = [], [], []
+        times, status, rows = array("d"), array("b"), array("d")
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -325,10 +323,10 @@ def load_csv(path) -> SurvivalDataset:
             if len(parts) != p + 2:
                 raise CsvParseError(lineno, f"expected {p + 2} fields, got {len(parts)}")
             try:
-                vals = [float(v) for v in parts]
+                vals = list(map(float, parts))
             except ValueError:
                 raise CsvParseError(lineno, "non-numeric field") from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise CsvParseError(lineno, "non-finite value")
             t, d = vals[0], vals[1]
             if t <= 0:
@@ -337,7 +335,8 @@ def load_csv(path) -> SurvivalDataset:
                 raise CsvParseError(lineno, f"status must be 0 or 1, got {d}")
             times.append(t)
             status.append(int(d))
-            rows.append(vals[2:])
+            rows.extend(vals[2:])
         if not times:
             raise DataError(f"{path}: no data rows")
-    return SurvivalDataset(np.array(times), np.array(status), np.array(rows))
+    return SurvivalDataset(np.frombuffer(times), np.frombuffer(status, dtype=np.int8),
+                           np.frombuffer(rows).reshape(-1, p))

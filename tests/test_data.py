@@ -115,19 +115,43 @@ def test_csv_roundtrip(tmp_path):
     assert load_csv(out).covariates.tolist() == ds.covariates.tolist()
 
 
+def test_csv_writes_shortest_round_trip_repr(tmp_path):
+    values = [-0.0, 5e-324, 1e300, 0.1, 1 / 3, 123456789.123]
+    ds = SurvivalDataset([0.1, 1 / 3], [1, 0], np.array(values).reshape(2, 3))
+    path = tmp_path / "awkward.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == (
+        b"time,status,x1,x2,x3\n"
+        b"0.1,1,-0.0,5e-324,1e+300\n"
+        b"0.3333333333333333,0,0.1,0.3333333333333333,123456789.123\n")
+    assert load_csv(path).covariates.tobytes() == ds.covariates.tobytes()
+
+
+def test_csv_roundtrip_bit_exact(tmp_path):
+    ds, _ = simulate_dataset(SimulationConfig(n=2000, p=20, s=5, seed=8))
+    path = tmp_path / "sim.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.times.tobytes() == ds.times.tobytes()
+    assert back.status.tobytes() == ds.status.tobytes()
+    assert back.covariates.tobytes() == ds.covariates.tobytes()
+    assert back.covariates.shape == (2000, 20)
+
+
 @pytest.mark.parametrize("row,match", [
     ("1.0,2,0.1,0.2", "status"),
     ("-1.0,1,0.1,0.2", "time"),
     ("1.0,1,nan,0.2", "non-finite"),
     ("1.0,1,0.1", "fields"),
     ("1.0,1,abc,0.2", "non-numeric"),
+    ("1.0,1,inf,0.2\n2.0,0,abc,0.2", "non-finite"),   # first bad row wins
 ])
 def test_csv_parse_errors_cite_row(tmp_path, row, match):
     path = tmp_path / "bad.csv"
     path.write_text(f"time,status,x1,x2\n1.0,1,0.0,0.0\n{row}\n")
     with pytest.raises(CsvParseError, match="row 2") as exc:
         load_csv(path)
-    assert match in str(exc.value)
+    assert match in str(exc.value) and exc.value.row == 2
 
 
 def test_csv_missing_file_and_header():

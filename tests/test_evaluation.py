@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,54 @@ def test_concordance_scale_invariance():
     beta = rng.standard_normal(3)
     a = concordance_index(beta, ds)
     assert concordance_index(5.0 * beta, ds) == a
+
+
+def test_concordance_ties_match_brute_force():
+    # integer times and scores: tied event/event and event/censored times,
+    # tied risk scores, and all-tied-score cases that must raise
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        n = int(rng.integers(2, 151))
+        times = rng.integers(1, max(2, n // 4), size=n).astype(float)
+        status = (rng.uniform(size=n) < 0.6).astype(int)
+        x = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        beta = np.zeros(3) if case % 10 == 0 else rng.integers(-2, 3, size=3).astype(float)
+        ds = SurvivalDataset(times, status, x)
+        expected = brute_force_concordance(beta, ds)
+        if case % 10 == 0:
+            assert expected is None
+        if expected is None:
+            with pytest.raises(UndefinedMetricError):
+                concordance_index(beta, ds)
+        else:
+            assert concordance_index(beta, ds) == expected
+
+
+def test_concordance_nan_scores_pair_with_nothing():
+    # inf * 0 makes some scores NaN; they compare false both ways
+    rng = np.random.default_rng(12)
+    x = rng.integers(-1, 2, size=(40, 2)).astype(float)
+    ds = SurvivalDataset(rng.integers(1, 10, size=40).astype(float),
+                         rng.integers(0, 2, size=40), x)
+    beta = np.array([np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(ds.covariates @ beta).any()
+        expected = brute_force_concordance(beta, ds)
+        assert expected is not None
+        assert concordance_index(beta, ds) == expected
+
+
+def test_concordance_memory_linear_in_n():
+    rng = np.random.default_rng(13)
+    ds = random_dataset(rng, 20000, 5)
+    beta = rng.standard_normal(5)
+    tracemalloc.start()
+    try:
+        concordance_index(beta, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_default_c_grid():
