@@ -10,6 +10,7 @@ failed cells.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -46,6 +47,47 @@ def _require_keys(obj, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+_REQUIRED = object()
+
+
+def _read(obj, key, kind, where, default=_REQUIRED):
+    """obj[key] converted by kind; an optional key that is absent or null
+    gives default. A missing required key or a value kind rejects is a
+    ConfigError naming where.key."""
+    if obj.get(key) is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise ConfigError(f"{where}: missing key {key!r}")
+    try:
+        return kind(obj[key])
+    except ConfigError:
+        raise       # from a nested parser, whose message names the key
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key}: invalid value {obj[key]!r}") from None
+
+
+def _seed(obj, seed_override, where, default=_REQUIRED):
+    """The --seed override when given, else obj["seed"]."""
+    if seed_override is not None:
+        return seed_override
+    return _read(obj, "seed", int, where, default)
+
+
+def _list_of(kind):
+    """Converter of a JSON list to a tuple of kind(item)."""
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return tuple(kind(v) for v in value)
+    return convert
+
+
+def _float_map(value):
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return {k: float(v) for k, v in value.items()}
+
+
 def _parse_design(obj, where="design"):
     _require_keys(obj, {"kind", "rho"}, {"kind"}, where)
     kind = obj["kind"]
@@ -54,50 +96,44 @@ def _parse_design(obj, where="design"):
             raise ConfigError(f"{where}: independent design takes no rho")
         return Independent()
     if kind == "constant_correlation":
-        return ConstantCorrelation(float(obj["rho"]))
+        return ConstantCorrelation(_read(obj, "rho", float, where))
     if kind == "autoregressive":
-        return Autoregressive(float(obj["rho"]))
+        return Autoregressive(_read(obj, "rho", float, where))
     raise ConfigError(f"{where}: unknown design kind {kind!r}")
 
 
 def _parse_signal(obj, where="signal"):
     _require_keys(obj, {"kind", "value", "values"}, {"kind"}, where)
     if obj["kind"] == "constant":
-        return ConstantSignal(float(obj.get("value", 0.8)))
+        return ConstantSignal(_read(obj, "value", float, where, 0.8))
     if obj["kind"] == "decaying":
-        return DecayingSignal([float(v) for v in obj["values"]])
+        return DecayingSignal(_read(obj, "values", _list_of(float), where))
     raise ConfigError(f"{where}: unknown signal kind {obj['kind']!r}")
 
 
 def _parse_sim_config(obj, seed_override=None, where="simulate"):
     _require_keys(obj, {"n", "p", "s", "signal", "design", "censoring", "seed"},
                   {"n", "p", "s", "seed"}, where)
-    censoring = obj.get("censoring", [2.0, 3.0])
-    if not (isinstance(censoring, list) and len(censoring) == 2):
+    censoring = _read(obj, "censoring", _list_of(float), where, (2.0, 3.0))
+    if len(censoring) != 2:
         raise ConfigError(f"{where}: censoring must be [low, high]")
     return SimulationConfig(
-        n=int(obj["n"]), p=int(obj["p"]), s=int(obj["s"]),
-        signal=_parse_signal(obj["signal"]) if "signal" in obj else ConstantSignal(0.8),
-        design=_parse_design(obj["design"]) if "design" in obj else Independent(),
-        censoring_low=float(censoring[0]), censoring_high=float(censoring[1]),
-        seed=int(seed_override if seed_override is not None else obj["seed"]))
+        n=_read(obj, "n", int, where), p=_read(obj, "p", int, where),
+        s=_read(obj, "s", int, where),
+        signal=_read(obj, "signal", _parse_signal, where, ConstantSignal(0.8)),
+        design=_read(obj, "design", _parse_design, where, Independent()),
+        censoring_low=censoring[0], censoring_high=censoring[1],
+        seed=_seed(obj, seed_override, where))
 
 
 def _parse_solver(obj, where="solver"):
+    """SolverConfig from the keys, value types and defaults of its fields."""
     if obj is None:
         return SolverConfig()
-    allowed = {"phi0", "gamma_u", "eps1", "eps2", "max_iter_stage", "max_phi",
-               "stop_mode"}
-    _require_keys(obj, allowed, set(), where)
-    defaults = SolverConfig()
-    return SolverConfig(
-        phi0=float(obj.get("phi0", defaults.phi0)),
-        gamma_u=float(obj.get("gamma_u", defaults.gamma_u)),
-        eps1=float(obj.get("eps1", defaults.eps1)),
-        eps2=float(obj.get("eps2", defaults.eps2)),
-        max_iter_stage=int(obj.get("max_iter_stage", defaults.max_iter_stage)),
-        max_phi=float(obj.get("max_phi", defaults.max_phi)),
-        stop_mode=str(obj.get("stop_mode", defaults.stop_mode)))
+    fields = dataclasses.fields(SolverConfig)
+    _require_keys(obj, {f.name for f in fields}, set(), where)
+    return SolverConfig(**{f.name: _read(obj, f.name, type(f.default), where, f.default)
+                           for f in fields})
 
 
 def _parse_penalty(obj, n, p, where="penalty"):
@@ -107,13 +143,13 @@ def _parse_penalty(obj, n, p, where="penalty"):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     if ("lambda" in obj) == ("c" in obj):
         raise ConfigError(f"{where}: give exactly one of lambda or c")
-    lam = float(obj["lambda"]) if "lambda" in obj else \
-        float(obj["c"]) * math.sqrt(math.log(p) / n)
+    lam = _read(obj, "lambda", float, where) if "lambda" in obj else \
+        _read(obj, "c", float, where) * math.sqrt(math.log(p) / n)
     shape = float("nan")
-    if kind == "scad" and "a" in obj:
-        shape = float(obj["a"])
-    if kind == "mcp" and "gamma" in obj:
-        shape = float(obj["gamma"])
+    if kind == "scad":
+        shape = _read(obj, "a", float, where, shape)
+    if kind == "mcp":
+        shape = _read(obj, "gamma", float, where, shape)
     return PenaltySpec(kind, lam, shape)
 
 
@@ -165,8 +201,7 @@ def cmd_simulate(cfg, out_dir, seed_override, threads):
 def cmd_fit(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"data", "algorithm", "penalty", "solver", "seed"},
                   {"data", "penalty"}, "config")
-    seed = seed_override if seed_override is not None else cfg.get("seed")
-    dataset, truth = _load_data(cfg["data"], seed)
+    dataset, truth = _load_data(cfg["data"], _seed(cfg, seed_override, "config", None))
     solver_cfg = _parse_solver(cfg.get("solver"))
     spec = _parse_penalty(cfg["penalty"], dataset.n, dataset.p)
     algorithm = cfg.get("algorithm", "tlamm")
@@ -210,11 +245,13 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
                         "c_grid", "solver", "seed"},
                   {"data", "penalty_kind"}, "config")
     dataset, _ = _load_data(cfg["data"])
-    shape = float(cfg.get("a", cfg.get("gamma", float("nan"))))
+    shape = _read(cfg, "a", float, "config",
+                  _read(cfg, "gamma", float, "config", float("nan")))
     result = cross_validate(
-        dataset, cfg["penalty_kind"], folds=int(cfg.get("folds", 3)),
-        c_grid=cfg.get("c_grid"), config=_parse_solver(cfg.get("solver")),
-        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
+        dataset, cfg["penalty_kind"], folds=_read(cfg, "folds", int, "config", 3),
+        c_grid=_read(cfg, "c_grid", _list_of(float), "config", None),
+        config=_parse_solver(cfg.get("solver")),
+        seed=_seed(cfg, seed_override, "config", 0),
         shape=shape, threads=threads)
     with open(os.path.join(out_dir, "cv.csv"), "w", encoding="utf-8") as fh:
         fh.write("c,criterion\n")
@@ -234,45 +271,46 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     allowed = {"n", "p", "designs", "methods", "reps", "seed", "s", "signal",
                "censoring", "c_by_penalty", "tune", "scad_a", "mcp_gamma"}
     _require_keys(obj, allowed, {"n", "p", "methods", "reps"}, "grid")
-    designs = tuple(_parse_design(d) for d in obj.get("designs",
-                                                      [{"kind": "independent"}]))
-    methods = tuple(obj["methods"])
-    seed = int(seed_override if seed_override is not None else obj.get("seed", 0))
-    c_by_penalty = {k: float(v) for k, v in obj.get("c_by_penalty", {}).items()}
-    signal = _parse_signal(obj["signal"]) if "signal" in obj else ConstantSignal(0.8)
-    scad_a = float(obj.get("scad_a", DEFAULT_SCAD_A))
-    mcp_gamma = float(obj.get("mcp_gamma", DEFAULT_MCP_GAMMA))
+    designs = _read(obj, "designs", _list_of(_parse_design), "grid", (Independent(),))
+    methods = _read(obj, "methods", _list_of(str), "grid")
+    seed = _seed(obj, seed_override, "grid", 0)
+    c_by_penalty = _read(obj, "c_by_penalty", _float_map, "grid", {})
+    s = _read(obj, "s", int, "grid", 10)
+    signal = _read(obj, "signal", _parse_signal, "grid", ConstantSignal(0.8))
+    scad_a = _read(obj, "scad_a", float, "grid", DEFAULT_SCAD_A)
+    mcp_gamma = _read(obj, "mcp_gamma", float, "grid", DEFAULT_MCP_GAMMA)
+    # every value is read before the tuning CV, so a malformed one fails fast
+    n_values = _read(obj, "n", _list_of(int), "grid")
+    p_values = _read(obj, "p", _list_of(int), "grid")
+    reps = _read(obj, "reps", int, "grid")
+    censoring = _read(obj, "censoring", _list_of(float), "grid", (2.0, 3.0))
     if "tune" in obj:
         tune = obj["tune"]
         _require_keys(tune, {"n", "p", "folds", "seed", "design"}, set(), "grid.tune")
-        tune_design = _parse_design(tune["design"]) if "design" in tune else Independent()
-        sim = SimulationConfig(n=int(tune.get("n", 200)), p=int(tune.get("p", 100)),
-                               s=int(obj.get("s", 10)), signal=signal,
-                               design=tune_design, seed=int(tune.get("seed", seed)))
+        sim = SimulationConfig(
+            n=_read(tune, "n", int, "grid.tune", 200),
+            p=_read(tune, "p", int, "grid.tune", 100), s=s, signal=signal,
+            design=_read(tune, "design", _parse_design, "grid.tune", Independent()),
+            seed=_read(tune, "seed", int, "grid.tune", seed))
+        folds = _read(tune, "folds", int, "grid.tune", 3)
         tune_data, _ = simulate_dataset(sim)
         kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
         for kind in sorted(kinds - set(c_by_penalty)):
             shape = {"lasso": float("nan"), "scad": scad_a, "mcp": mcp_gamma}[kind]
-            cv = cross_validate(tune_data, kind, folds=int(tune.get("folds", 3)),
-                                config=solver_cfg, seed=seed, shape=shape,
-                                threads=threads)
+            cv = cross_validate(tune_data, kind, folds=folds, config=solver_cfg,
+                                seed=seed, shape=shape, threads=threads)
             c_by_penalty[kind] = cv.chosen_c
-    grid = ExperimentGrid(
-        n_values=tuple(int(v) for v in obj["n"]),
-        p_values=tuple(int(v) for v in obj["p"]),
-        designs=designs, methods=methods, reps=int(obj["reps"]), seed=seed,
-        c_by_penalty=c_by_penalty,
-        s=int(obj.get("s", 10)), signal=signal,
-        censoring=tuple(obj.get("censoring", (2.0, 3.0))),
-        scad_a=scad_a, mcp_gamma=mcp_gamma)
-    return grid
+    return ExperimentGrid(n_values=n_values, p_values=p_values, designs=designs,
+                          methods=methods, reps=reps, seed=seed,
+                          c_by_penalty=c_by_penalty, s=s, signal=signal,
+                          censoring=censoring, scad_a=scad_a, mcp_gamma=mcp_gamma)
 
 
 def cmd_experiment(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"grid", "solver", "seed"}, {"grid"}, "config")
     solver_cfg = _parse_solver(cfg.get("solver"))
-    seed = seed_override if seed_override is not None else cfg.get("seed")
-    grid = _parse_grid(cfg["grid"], seed, solver_cfg, threads)
+    grid = _parse_grid(cfg["grid"], _seed(cfg, seed_override, "config", None),
+                       solver_cfg, threads)
     result = run_experiment(grid, solver_cfg, threads=threads,
                             out_csv=os.path.join(out_dir, "results.csv"))
     _write_json(os.path.join(out_dir, "summary.json"), {
@@ -297,16 +335,13 @@ def cmd_diagnose(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"data", "beta_star", "m", "r", "n_beta_samples", "seed"},
                   {"data", "m", "r"}, "config")
     dataset, truth = _load_data(cfg["data"])
-    if "beta_star" in cfg and cfg["beta_star"] is not None:
-        beta_star = np.asarray([float(v) for v in cfg["beta_star"]])
-    elif truth is not None:
-        beta_star = truth
-    else:
+    beta_star = _read(cfg, "beta_star", _list_of(float), "config", truth)
+    if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
-    report = lse_probe(dataset, beta_star, m=int(cfg["m"]), r=float(cfg["r"]),
-                       n_beta_samples=int(cfg.get("n_beta_samples", 0)),
-                       seed=int(seed_override if seed_override is not None
-                                else cfg.get("seed", 0)))
+    report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64),
+                       m=_read(cfg, "m", int, "config"), r=_read(cfg, "r", float, "config"),
+                       n_beta_samples=_read(cfg, "n_beta_samples", int, "config", 0),
+                       seed=_seed(cfg, seed_override, "config", 0))
     _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())
     return 0
 

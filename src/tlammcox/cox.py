@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import RiskSetCache, SurvivalDataset, build_risk_cache
+from .data import SurvivalDataset, build_risk_cache
 from .errors import (CapabilityError, DataError, IterationLimitError,
                      NonFiniteError, RankError)
 
@@ -33,18 +33,15 @@ class CoxObjective:
     call-local scratch, so concurrent calls on one instance are safe.
     """
 
-    def __init__(self, dataset: SurvivalDataset, cache: RiskSetCache | None = None):
+    def __init__(self, dataset: SurvivalDataset):
         if dataset.n_events == 0:
             raise DataError("no events: every subject is censored, nothing to fit")
         self.dataset = dataset
-        self.cache = cache if cache is not None else build_risk_cache(dataset)
+        self.cache = build_risk_cache(dataset)
         self.n = dataset.n
         self.p = dataset.p
-        self._event_rows = np.concatenate(
-            [idx for _, idx in self.cache.event_groups]).astype(np.intp)
-        self._x_event_sum = dataset.covariates[self._event_rows].sum(axis=0)
+        self._x_event_sum = dataset.covariates[self.cache.event_rows].sum(axis=0)
         self._d = self.cache.tie_counts.astype(np.float64)
-        self._risk_sizes = self.cache.risk_sizes
 
     # ---------------------------------------------------------- internals
 
@@ -67,7 +64,7 @@ class CoxObjective:
         offset = float(eta.max())
         w = np.exp(eta[self.cache.order] - offset)
         cum = np.cumsum(w)
-        s0 = cum[self._risk_sizes - 1]
+        s0 = cum[self.cache.risk_sizes - 1]
         return offset, w, s0
 
     def _sweep(self, beta, want_value, want_grad):
@@ -78,7 +75,7 @@ class CoxObjective:
         if want_value:
             with np.errstate(divide="ignore"):
                 log_terms = self._d * (np.log(s0) + offset)
-            value = float((log_terms.sum() - eta[self._event_rows].sum()) / self.n)
+            value = float((log_terms.sum() - eta[self.cache.event_rows].sum()) / self.n)
             if not np.isfinite(value):
                 self._raise_nonfinite("partial likelihood", beta)
         if want_grad:
@@ -88,7 +85,7 @@ class CoxObjective:
             marks = np.zeros(self.n)
             r = np.empty(self.n)
             with np.errstate(divide="ignore", invalid="ignore"):
-                marks[self._risk_sizes - 1] = self._d / s0
+                marks[self.cache.risk_sizes - 1] = self._d / s0
                 r[self.cache.order] = w * np.cumsum(marks[::-1])[::-1]
                 grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
             if not np.all(np.isfinite(grad)):
@@ -126,7 +123,7 @@ class CoxObjective:
         s0 = 0.0
         filled = 0
         for g in range(len(self._d) - 1, -1, -1):
-            boundary = self._risk_sizes[g]
+            boundary = self.cache.risk_sizes[g]
             if boundary > filled:
                 block = self.dataset.covariates[self.cache.order[filled:boundary]]
                 wb = w[filled:boundary]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -143,43 +143,36 @@ class SurvivalDataset:
 
 @dataclass(frozen=True)
 class RiskSetCache:
-    """Time-ordered index structure backing the partial-likelihood sums.
+    """Time-ordered index arrays backing the partial-likelihood sums.
 
     order sorts subjects by descending time, so the risk set of any event
-    time is a prefix of order. event_groups lists (time, event indices at
-    that exact time) in ascending time; tied events share one group
-    (Breslow convention).
+    time is a prefix of order. Events at one exact time form a group that
+    shares one risk set (Breslow convention); groups run in ascending time.
+    event_rows lists the event subjects group by group, tie_counts[g] is
+    the size of group g (its rows are the next tie_counts[g] entries of
+    event_rows) and risk_sizes[g] counts the subjects still at risk at its
+    time. A dataset without events gives empty arrays.
     """
 
     order: np.ndarray                 # permutation, descending times
-    event_groups: tuple               # ((time, indices), ...) ascending time
+    event_rows: np.ndarray            # event subjects, ascending time
     tie_counts: np.ndarray            # events per group
     risk_sizes: np.ndarray            # |{j : t_j >= group time}| per group
 
 
 def build_risk_cache(dataset: SurvivalDataset) -> RiskSetCache:
     times = dataset.times
-    order = np.argsort(-times, kind="stable").astype(np.intp)
-    event_idx = np.flatnonzero(dataset.status == 1)
-    groups = []
-    if event_idx.size:
-        ev_times = times[event_idx]
-        asc = np.argsort(ev_times, kind="stable")
-        ev_idx_sorted = event_idx[asc]
-        ev_times_sorted = ev_times[asc]
-        boundaries = np.flatnonzero(np.diff(ev_times_sorted) != 0)
-        starts = np.concatenate(([0], boundaries + 1))
-        ends = np.concatenate((boundaries + 1, [ev_times_sorted.size]))
-        for s, e in zip(starts, ends):
-            groups.append((float(ev_times_sorted[s]), ev_idx_sorted[s:e].copy()))
-    tie_counts = np.array([len(ix) for _, ix in groups], dtype=np.intp)
-    group_times = np.array([t for t, _ in groups], dtype=np.float64)
-    # times >= t counted on the ascending-sorted array
-    sorted_asc = np.sort(times)
-    risk_sizes = dataset.n - np.searchsorted(sorted_asc, group_times, side="left")
-    return RiskSetCache(order=order, event_groups=tuple(groups),
-                        tie_counts=tie_counts,
-                        risk_sizes=risk_sizes.astype(np.intp))
+    order = np.argsort(-times, kind="stable")
+    events = np.flatnonzero(dataset.status == 1)
+    event_rows = events[np.argsort(times[events], kind="stable")]
+    event_times = times[event_rows]
+    # times are positive, so the first event always opens a group
+    starts = np.flatnonzero(np.diff(event_times, prepend=0.0))
+    tie_counts = np.diff(np.append(starts, event_rows.size))
+    risk_sizes = dataset.n - np.searchsorted(np.sort(times), event_times[starts],
+                                             side="left")
+    return RiskSetCache(order=order, event_rows=event_rows,
+                        tie_counts=tie_counts, risk_sizes=risk_sizes)
 
 
 def censoring_rate(dataset: SurvivalDataset) -> float:

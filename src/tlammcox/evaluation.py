@@ -144,16 +144,8 @@ def _make_folds(n, n_folds, seed, status, attempts=10):
     training part holds an event."""
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)
-        perm = rng.permutation(n)
-        parts = np.array_split(perm, n_folds)
-        ok = True
-        for part in parts:
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[part] = False
-            if status[train_mask].sum() < 1:
-                ok = False
-                break
-        if ok:
+        parts = np.array_split(rng.permutation(n), n_folds)
+        if all(np.delete(status, part).any() for part in parts):
             return [np.sort(part) for part in parts], seed + attempt
     raise DataError(
         f"could not split into {n_folds} folds with events in every "

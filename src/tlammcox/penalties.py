@@ -2,9 +2,9 @@
 shift that turns the penalized objective into shifted-loss + l1.
 
 Every family satisfies: p'(0+) = lambda, p' non-increasing and continuous
-on [0, inf), and p'(t) = 0 for t > a1 * lambda with a1 = a (SCAD),
-gamma (MCP), inf (Lasso). Lasso is carried as the a1 = inf member so the
-same solver covers all three.
+on [0, inf), and p'(t) = 0 for t > shape * lambda with shape = a (SCAD),
+gamma (MCP), inf (Lasso). Lasso is carried as the shape = inf member so
+the same solver covers all three.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class PenaltySpec:
             if not shape > 1:
                 raise ConfigError(f"MCP requires gamma > 1, got {shape}")
             object.__setattr__(self, "shape", float(shape))
-
-    @property
-    def a1(self) -> float:
-        """Threshold multiple beyond which the derivative vanishes."""
-        return self.shape
-
-    def with_lambda(self, lam: float) -> "PenaltySpec":
-        return PenaltySpec(self.kind, lam, self.shape)
 
 
 def lasso(lam: float) -> PenaltySpec:

@@ -67,12 +67,6 @@ class TraceRecord:
 class SolverTrace:
     records: list = field(default_factory=list)
 
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
-
-    def extend(self, other: "SolverTrace"):
-        self.records.extend(other.records)
-
     def stage_records(self, stage: int):
         return [r for r in self.records if r.stage == stage]
 
@@ -149,10 +143,16 @@ def line_search(loss_fn, beta, loss_at_beta, grad_at_beta, phi_prev, lam,
                 "loss landscape non-finite or gradient inconsistent")
 
 
-def _lamm_loop(loss_fn, value_grad_fn, lam_weights, omega_lam, init, eps,
-               config: SolverConfig, stage: int, trace: SolverTrace,
-               l1_term, phi_init=None):
-    """Shared LAMM iteration: returns (beta, steps_taken, converged, phi).
+def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
+               stage: int, trace: SolverTrace, phi_init=None,
+               shift: PenaltySpec | None = None):
+    """One LAMM stage on loss + sum_j w_j |b_j| from init: appends one
+    TraceRecord per accepted step and returns (beta, steps, converged, phi).
+
+    Stage 1 (the l1 relaxation), stage 2 and every I-LAMM stage are this
+    routine. `weights` is lambda or a per-coordinate vector. The loss is
+    `objective.nll`, plus the concave shift of the penalty `shift` when one
+    is given (stage 2). The tolerance is eps1 in stage 1 and eps2 after it.
 
     Under omega stopping the current iterate is tested before stepping, so
     an init that is already eps-optimal is returned unchanged; stepnorm
@@ -160,22 +160,37 @@ def _lamm_loop(loss_fn, value_grad_fn, lam_weights, omega_lam, init, eps,
     phi_init carries the accepted curvature across stages so a follow-on
     stage continues exactly where a single longer run would be.
     """
+    eps = config.eps1 if stage == 1 else config.eps2
+
+    def l1_term(b):
+        if np.ndim(weights):
+            return float(weights @ np.abs(b))
+        return weights * float(np.abs(b).sum())
+
+    if shift is None:
+        loss_fn, value_grad_fn = objective.nll, objective.value_and_gradient
+    else:
+        def loss_fn(b):
+            return objective.nll(b) + shift_value(shift, b)
+
+        def value_grad_fn(b):
+            v, g = objective.value_and_gradient(b)
+            return v + shift_value(shift, b), g + shift_gradient(shift, b)
+
     beta = np.asarray(init, dtype=np.float64).copy()
     loss, grad = value_grad_fn(beta)
     phi_prev = config.phi0 if phi_init is None else phi_init
     for k in range(1, config.max_iter_stage + 1):
         if config.stop_mode == "omega":
-            w = omega(grad, beta, omega_lam)
+            w = omega(grad, beta, weights)
             if w <= eps:
                 return beta, k - 1, True, phi_prev
-        cand, phi, cand_loss, step_norm, gap = line_search(
-            loss_fn, beta, loss, grad, phi_prev, lam_weights, config)
-        beta = cand
-        loss = cand_loss
+        beta, phi, loss, step_norm, gap = line_search(
+            loss_fn, beta, loss, grad, phi_prev, weights, config)
         _, grad = value_grad_fn(beta)
         phi_prev = phi
-        w = omega(grad, beta, omega_lam)
-        trace.append(TraceRecord(
+        w = omega(grad, beta, weights)
+        trace.records.append(TraceRecord(
             stage=stage, k=k, objective=loss + l1_term(beta), omega=w,
             phi=phi, step_norm=step_norm,
             support=int(np.count_nonzero(beta)),
@@ -192,42 +207,25 @@ def _lamm_loop(loss_fn, value_grad_fn, lam_weights, omega_lam, init, eps,
     return beta, config.max_iter_stage, False, phi_prev
 
 
-def stage1_lasso(objective: CoxObjective, lam: float, config: SolverConfig,
-                 init=None, phi_init=None):
-    """l1-penalized burn-in on the raw loss; returns (beta, steps, converged,
-    trace, phi)."""
+def stage1_lasso(objective: CoxObjective, lam: float, config: SolverConfig):
+    """l1-penalized burn-in on the raw loss from zero; returns (beta, steps,
+    converged, trace, phi)."""
     if lam <= 0:
         raise ConfigError("lambda must be positive")
     trace = SolverTrace()
-    init = np.zeros(objective.p) if init is None else init
-    beta, steps, ok, phi = _lamm_loop(
-        loss_fn=objective.nll,
-        value_grad_fn=objective.value_and_gradient,
-        lam_weights=lam, omega_lam=lam, init=init, eps=config.eps1,
-        config=config, stage=1, trace=trace,
-        l1_term=lambda b: lam * float(np.abs(b).sum()), phi_init=phi_init)
+    beta, steps, ok, phi = _lamm_loop(objective, lam, np.zeros(objective.p),
+                                      config=config, stage=1, trace=trace)
     return beta, steps, ok, trace, phi
 
 
 def stage2(objective: CoxObjective, spec: PenaltySpec, config: SolverConfig,
-           init, stage_index: int = 2, phi_init=None):
+           init, phi_init=None):
     """LAMM on the shifted loss (raw loss + concave shift) with l1 weight
     lambda; returns (beta, steps, converged, trace, phi)."""
-    lam = spec.lam
-
-    def loss_fn(b):
-        return objective.nll(b) + shift_value(spec, b)
-
-    def value_grad_fn(b):
-        v, g = objective.value_and_gradient(b)
-        return v + shift_value(spec, b), g + shift_gradient(spec, b)
-
     trace = SolverTrace()
-    beta, steps, ok, phi = _lamm_loop(
-        loss_fn=loss_fn, value_grad_fn=value_grad_fn,
-        lam_weights=lam, omega_lam=lam, init=init, eps=config.eps2,
-        config=config, stage=stage_index, trace=trace,
-        l1_term=lambda b: lam * float(np.abs(b).sum()), phi_init=phi_init)
+    beta, steps, ok, phi = _lamm_loop(objective, spec.lam, init, config=config,
+                                      stage=2, trace=trace, phi_init=phi_init,
+                                      shift=spec)
     return beta, steps, ok, trace, phi
 
 
@@ -239,7 +237,7 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi1 = stage1_lasso(objective, spec.lam, config)
     b2, k2, ok2, tr2, _ = stage2(objective, spec, config, init=b1, phi_init=phi1)
-    trace.extend(tr2)
+    trace.records.extend(tr2.records)
     return FitResult(beta=b2, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, k2), trace=trace, converged=(ok1, ok2),
                      seconds=time.perf_counter() - t0)
@@ -261,12 +259,9 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     ok_tighten = True
     for ell in range(2, max_stages + 1):
         weights = np.asarray(derivative(spec, np.abs(b_prev)), dtype=np.float64)
-        b_next, steps, ok, phi = _lamm_loop(
-            loss_fn=objective.nll,
-            value_grad_fn=objective.value_and_gradient,
-            lam_weights=weights, omega_lam=weights, init=b_prev,
-            eps=config.eps2, config=config, stage=ell, trace=trace,
-            l1_term=lambda b, w=weights: float(w @ np.abs(b)), phi_init=phi)
+        b_next, steps, ok, phi = _lamm_loop(objective, weights, b_prev,
+                                            config=config, stage=ell,
+                                            trace=trace, phi_init=phi)
         total_steps += steps
         ok_tighten = ok_tighten and ok
         gap = float(np.linalg.norm(b_next - b_prev))

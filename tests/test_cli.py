@@ -172,6 +172,22 @@ def test_exit_code_config_error(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", dict(sim_config(), n="abc"), "config.n"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"phi0": "fast"},
+             "penalty": {"kind": "scad", "c": 0.65}}, "solver.phi0"),
+    ("fit", {"data": {"simulate": sim_config()},
+             "penalty": {"kind": "scad", "c": None}}, "penalty.c"),
+    ("experiment", {"grid": {"n": 300, "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}}}, "grid.n"),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_exit_code_data_error(tmp_path):
     cfg = write_config(tmp_path, "missing.json", {
         "data": {"csv": str(tmp_path / "nope.csv")},

@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from tlammcox import cox
-from tlammcox import (CapabilityError, ConstantSignal, CoxObjective,
-                      DataError, IterationLimitError, NonFiniteError,
-                      SimulationConfig, SurvivalDataset, fit_restricted,
-                      simulate_dataset)
+from tlammcox import (CapabilityError, CoxObjective, DataError,
+                      IterationLimitError, NonFiniteError, SimulationConfig,
+                      SurvivalDataset, fit_restricted, simulate_dataset)
+from tlammcox.data import ConstantSignal
 from conftest import random_dataset
 
 

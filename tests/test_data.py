@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tlammcox import (Autoregressive, ConstantCorrelation, ConstantSignal,
-                      CoxObjective, CsvParseError, DataError, DecayingSignal,
-                      Independent, SimulationConfig, SurvivalDataset,
-                      build_risk_cache, censoring_rate, generate_covariates,
-                      load_csv, save_csv, simulate_dataset)
+from tlammcox import (CoxObjective, CsvParseError, DataError, Independent,
+                      SimulationConfig, SurvivalDataset, load_csv, save_csv,
+                      simulate_dataset)
+from tlammcox.data import (Autoregressive, ConstantCorrelation, ConstantSignal,
+                           DecayingSignal, build_risk_cache, censoring_rate,
+                           generate_covariates)
 from tlammcox.errors import ConfigError
 
 
@@ -179,18 +180,41 @@ def test_build_risk_cache_examples():
     ds = SurvivalDataset([3.0, 1.0, 2.0], [1, 1, 1], np.zeros((3, 1)))
     cache = build_risk_cache(ds)
     assert_array_equal(cache.order, [0, 2, 1])
-    assert [t for t, _ in cache.event_groups] == [1.0, 2.0, 3.0]
-    assert all(len(ix) == 1 for _, ix in cache.event_groups)
+    assert_array_equal(cache.event_rows, [1, 2, 0])
+    assert_array_equal(cache.tie_counts, [1, 1, 1])
+    assert_array_equal(cache.risk_sizes, [3, 2, 1])
 
     ds = SurvivalDataset([2.0, 2.0, 1.0], [1, 1, 0], np.zeros((3, 1)))
     cache = build_risk_cache(ds)
-    assert len(cache.event_groups) == 1
-    t, idx = cache.event_groups[0]
-    assert t == 2.0 and sorted(idx) == [0, 1]
+    assert_array_equal(cache.event_rows, [0, 1])
     assert_array_equal(cache.tie_counts, [2])
+    assert_array_equal(cache.risk_sizes, [2])
 
     ds = SurvivalDataset([1.0, 2.0], [0, 0], np.zeros((2, 1)))
-    assert build_risk_cache(ds).event_groups == ()
+    cache = build_risk_cache(ds)
+    for arr in (cache.event_rows, cache.tie_counts, cache.risk_sizes):
+        assert arr.shape == (0,) and arr.dtype == np.intp
+
+
+def test_build_risk_cache_matches_brute_force():
+    """Integer times give ties among events and between events and censored
+    subjects; each group is checked against a direct count."""
+    rng = np.random.default_rng(17)
+    for case in range(100):
+        n = int(rng.integers(1, 40))
+        times = rng.integers(1, 8, size=n).astype(float)
+        status = rng.integers(0, 2, size=n)
+        cache = build_risk_cache(SurvivalDataset(times, status, np.zeros((n, 1))))
+        group_times = sorted(set(times[status == 1]))
+        assert cache.tie_counts.tolist() == [
+            int(np.sum((times == t) & (status == 1))) for t in group_times], case
+        assert cache.risk_sizes.tolist() == [
+            int(np.sum(times >= t)) for t in group_times], case
+        ends = np.cumsum(cache.tie_counts)
+        for t, start, end in zip(group_times, ends - cache.tie_counts, ends):
+            rows = cache.event_rows[start:end]
+            assert rows.tolist() == np.flatnonzero((times == t) & (status == 1)).tolist(), case
+        assert cache.event_rows.size == status.sum(), case
 
 
 def test_risk_cache_permutation_valid():

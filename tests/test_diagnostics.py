@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tlammcox import (CapabilityError, CoxObjective, SimulationConfig,
-                      grad_check, gradient_sup_norm_scaling, lse_probe,
-                      simulate_dataset)
+                      lse_probe, simulate_dataset)
+from tlammcox.diagnostics import grad_check, gradient_sup_norm_scaling
 from conftest import random_dataset
 
 

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from tlammcox import (ConfigError, PenaltySpec, derivative, lasso, mcp, scad,
-                      shift_gradient, shift_value, soft_threshold, value)
+from tlammcox import ConfigError, PenaltySpec, lasso, mcp, scad
+from tlammcox.penalties import (derivative, shift_gradient, shift_value,
+                                soft_threshold, value)
 
 
 def test_spec_validation():
@@ -18,13 +19,13 @@ def test_spec_validation():
         PenaltySpec("ridge", 1.0)
     assert scad(1.0).shape == 3.7
     assert mcp(1.0).shape == 3.0
-    assert lasso(1.0).a1 == np.inf
+    assert lasso(1.0).shape == np.inf
 
 
 def test_derivative_examples():
     s = scad(1.0)
     assert derivative(s, 0.0) == 1.0            # limit lambda at 0+
-    assert derivative(s, 4.0) == 0.0            # zero beyond a1*lambda
+    assert derivative(s, 4.0) == 0.0            # zero beyond shape*lambda
     m = mcp(1.0)
     # (1 - 1.5/3)+ = 0.5, cross-checked against the primitive numerically
     assert_allclose(derivative(m, 1.5), 0.5, rtol=1e-12)
@@ -57,8 +58,8 @@ def test_value_examples():
 def test_value_matches_quadrature():
     rng = np.random.default_rng(0)
     for spec in (scad(0.8, 3.7), mcp(0.8, 3.0), lasso(0.8)):
-        bound = 2 * (spec.a1 if np.isfinite(spec.a1) else 3.0) * spec.lam
-        kinks = [k for k in (spec.lam, spec.a1 * spec.lam) if np.isfinite(k)]
+        bound = 2 * (spec.shape if np.isfinite(spec.shape) else 3.0) * spec.lam
+        kinks = [k for k in (spec.lam, spec.shape * spec.lam) if np.isfinite(k)]
         for _ in range(10):
             t = float(rng.uniform(0, bound))
             pts = [k for k in kinks if k < t] or None
@@ -71,7 +72,7 @@ def test_value_matches_quadrature():
 def test_derivative_non_increasing():
     rng = np.random.default_rng(1)
     for spec in (scad(0.7), mcp(0.7), lasso(0.7)):
-        hi = 3 * spec.lam * (spec.a1 if np.isfinite(spec.a1) else 4.0)
+        hi = 3 * spec.lam * (spec.shape if np.isfinite(spec.shape) else 4.0)
         t = np.sort(rng.uniform(0, hi, size=50))
         d = derivative(spec, t)
         assert np.all(np.diff(d) <= 1e-12)
@@ -81,7 +82,7 @@ def test_shift_gradient_examples():
     lam = 1.0
     assert_allclose(shift_gradient(lasso(lam), [0.3, -2.0, 0.0]), 0.0)
     s = scad(lam, 3.7)
-    # beyond a1*lambda the shift cancels the l1 term entirely
+    # beyond shape*lambda the shift cancels the l1 term entirely
     assert_allclose(shift_gradient(s, [5.0]), [-1.0], rtol=1e-12)
     m = mcp(lam, 3.0)
     assert_allclose(shift_gradient(m, [-1.5]), [0.5], rtol=1e-12)
@@ -91,11 +92,11 @@ def test_shift_gradient_examples():
 def test_shift_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for spec in (scad(0.9), mcp(0.9)):
-        kinks = {spec.lam, spec.a1 * spec.lam}
+        kinks = {spec.lam, spec.shape * spec.lam}
         checked = 0
         while checked < 20:
-            b = float(rng.uniform(-2.5 * spec.a1 * spec.lam,
-                                  2.5 * spec.a1 * spec.lam))
+            b = float(rng.uniform(-2.5 * spec.shape * spec.lam,
+                                  2.5 * spec.shape * spec.lam))
             if any(abs(abs(b) - k) < 1e-3 for k in kinks) or abs(b) < 1e-3:
                 continue
             h = 1e-7
@@ -123,8 +124,3 @@ def test_soft_threshold_examples():
     assert_allclose(soft_threshold(np.array([3.0, -0.5, -2.0]),
                                    np.array([1.0, 1.0, 0.5])),
                     [2.0, 0.0, -1.5])
-
-
-def test_with_lambda_preserves_shape():
-    s = scad(0.5, 3.2).with_lambda(0.9)
-    assert s.lam == 0.9 and s.shape == 3.2

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from tlammcox import (ConfigError, CoxObjective, LineSearchError,
                       SimulationConfig, SolverConfig, fit_restricted, ilamm,
-                      lamm_step, lasso, line_search, mcp, omega, scad,
-                      simulate_dataset, stage1_lasso, stage2, tlamm)
+                      lasso, mcp, omega, scad, simulate_dataset, tlamm)
+from tlammcox.solver import lamm_step, line_search, stage1_lasso, stage2
 from conftest import random_dataset
 
 
