@@ -66,11 +66,19 @@ def _read(obj, key, kind, where, default=_REQUIRED):
         raise ConfigError(f"{where}.{key}: invalid value {obj[key]!r}") from None
 
 
+def _int(value):
+    """int(value), rejecting booleans and fractional numbers, which int()
+    would accept or truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _seed(obj, seed_override, where, default=_REQUIRED):
     """The --seed override when given, else obj["seed"]."""
     if seed_override is not None:
         return seed_override
-    return _read(obj, "seed", int, where, default)
+    return _read(obj, "seed", _int, where, default)
 
 
 def _list_of(kind):
@@ -118,8 +126,8 @@ def _parse_sim_config(obj, seed_override=None, where="simulate"):
     if len(censoring) != 2:
         raise ConfigError(f"{where}: censoring must be [low, high]")
     return SimulationConfig(
-        n=_read(obj, "n", int, where), p=_read(obj, "p", int, where),
-        s=_read(obj, "s", int, where),
+        n=_read(obj, "n", _int, where), p=_read(obj, "p", _int, where),
+        s=_read(obj, "s", _int, where),
         signal=_read(obj, "signal", _parse_signal, where, ConstantSignal(0.8)),
         design=_read(obj, "design", _parse_design, where, Independent()),
         censoring_low=censoring[0], censoring_high=censoring[1],
@@ -132,7 +140,9 @@ def _parse_solver(obj, where="solver"):
         return SolverConfig()
     fields = dataclasses.fields(SolverConfig)
     _require_keys(obj, {f.name for f in fields}, set(), where)
-    return SolverConfig(**{f.name: _read(obj, f.name, type(f.default), where, f.default)
+    convert = {int: _int, float: float, str: str}
+    return SolverConfig(**{f.name: _read(obj, f.name, convert[type(f.default)], where,
+                                         f.default)
                            for f in fields})
 
 
@@ -145,12 +155,17 @@ def _parse_penalty(obj, n, p, where="penalty"):
         raise ConfigError(f"{where}: give exactly one of lambda or c")
     lam = _read(obj, "lambda", float, where) if "lambda" in obj else \
         _read(obj, "c", float, where) * math.sqrt(math.log(p) / n)
-    shape = float("nan")
-    if kind == "scad":
-        shape = _read(obj, "a", float, where, shape)
-    if kind == "mcp":
-        shape = _read(obj, "gamma", float, where, shape)
-    return PenaltySpec(kind, lam, shape)
+    return PenaltySpec(kind, lam, _read_shape(obj, kind, where))
+
+
+def _read_shape(obj, kind, where):
+    """SCAD's a or MCP's gamma (NaN takes the default); the shape key of
+    another kind is a ConfigError."""
+    key = {"scad": "a", "mcp": "gamma"}.get(kind)
+    for other in ("a", "gamma"):
+        if other != key and obj.get(other) is not None:
+            raise ConfigError(f"{where}.{other}: not a shape of the {kind} penalty")
+    return float("nan") if key is None else _read(obj, key, float, where, float("nan"))
 
 
 def _load_data(obj, seed_override=None, where="data"):
@@ -245,10 +260,10 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
                         "c_grid", "solver", "seed"},
                   {"data", "penalty_kind"}, "config")
     dataset, _ = _load_data(cfg["data"])
-    shape = _read(cfg, "a", float, "config",
-                  _read(cfg, "gamma", float, "config", float("nan")))
+    kind = _read(cfg, "penalty_kind", str, "config")
+    shape = _read_shape(cfg, kind, "config")
     result = cross_validate(
-        dataset, cfg["penalty_kind"], folds=_read(cfg, "folds", int, "config", 3),
+        dataset, kind, folds=_read(cfg, "folds", _int, "config", 3),
         c_grid=_read(cfg, "c_grid", _list_of(float), "config", None),
         config=_parse_solver(cfg.get("solver")),
         seed=_seed(cfg, seed_override, "config", 0),
@@ -262,7 +277,7 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
         "chosen_lambda": result.chosen_lambda,
         "criterion": result.criterion,
         "fold_seed": result.fold_seed,
-        "penalty_kind": cfg["penalty_kind"],
+        "penalty_kind": kind,
     })
     return 0
 
@@ -275,24 +290,24 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     methods = _read(obj, "methods", _list_of(str), "grid")
     seed = _seed(obj, seed_override, "grid", 0)
     c_by_penalty = _read(obj, "c_by_penalty", _float_map, "grid", {})
-    s = _read(obj, "s", int, "grid", 10)
+    s = _read(obj, "s", _int, "grid", 10)
     signal = _read(obj, "signal", _parse_signal, "grid", ConstantSignal(0.8))
     scad_a = _read(obj, "scad_a", float, "grid", DEFAULT_SCAD_A)
     mcp_gamma = _read(obj, "mcp_gamma", float, "grid", DEFAULT_MCP_GAMMA)
     # every value is read before the tuning CV, so a malformed one fails fast
-    n_values = _read(obj, "n", _list_of(int), "grid")
-    p_values = _read(obj, "p", _list_of(int), "grid")
-    reps = _read(obj, "reps", int, "grid")
+    n_values = _read(obj, "n", _list_of(_int), "grid")
+    p_values = _read(obj, "p", _list_of(_int), "grid")
+    reps = _read(obj, "reps", _int, "grid")
     censoring = _read(obj, "censoring", _list_of(float), "grid", (2.0, 3.0))
     if "tune" in obj:
         tune = obj["tune"]
         _require_keys(tune, {"n", "p", "folds", "seed", "design"}, set(), "grid.tune")
         sim = SimulationConfig(
-            n=_read(tune, "n", int, "grid.tune", 200),
-            p=_read(tune, "p", int, "grid.tune", 100), s=s, signal=signal,
+            n=_read(tune, "n", _int, "grid.tune", 200),
+            p=_read(tune, "p", _int, "grid.tune", 100), s=s, signal=signal,
             design=_read(tune, "design", _parse_design, "grid.tune", Independent()),
-            seed=_read(tune, "seed", int, "grid.tune", seed))
-        folds = _read(tune, "folds", int, "grid.tune", 3)
+            seed=_read(tune, "seed", _int, "grid.tune", seed))
+        folds = _read(tune, "folds", _int, "grid.tune", 3)
         tune_data, _ = simulate_dataset(sim)
         kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
         for kind in sorted(kinds - set(c_by_penalty)):
@@ -339,8 +354,8 @@ def cmd_diagnose(cfg, out_dir, seed_override, threads):
     if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
     report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64),
-                       m=_read(cfg, "m", int, "config"), r=_read(cfg, "r", float, "config"),
-                       n_beta_samples=_read(cfg, "n_beta_samples", int, "config", 0),
+                       m=_read(cfg, "m", _int, "config"), r=_read(cfg, "r", float, "config"),
+                       n_beta_samples=_read(cfg, "n_beta_samples", _int, "config", 0),
                        seed=_seed(cfg, seed_override, "config", 0))
     _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())
     return 0

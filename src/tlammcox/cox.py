@@ -9,6 +9,8 @@ sample-wide max of eta before accumulation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import SurvivalDataset, build_risk_cache
@@ -42,6 +44,7 @@ class CoxObjective:
         self.p = dataset.p
         self._x_event_sum = dataset.covariates[self.cache.event_rows].sum(axis=0)
         self._d = self.cache.tie_counts.astype(np.float64)
+        self._risk_last = self.cache.risk_sizes - 1   # prefix end of each group
 
     # ---------------------------------------------------------- internals
 
@@ -49,7 +52,7 @@ class CoxObjective:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (self.p,):
             raise ValueError(f"beta must have length {self.p}, got shape {beta.shape}")
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise ValueError("beta contains non-finite entries")
         x = self.dataset.covariates
         if self.p >= _GATHER_MIN_P:
@@ -63,8 +66,7 @@ class CoxObjective:
         S0 at each event group's risk boundary."""
         offset = float(eta.max())
         w = np.exp(eta[self.cache.order] - offset)
-        cum = np.cumsum(w)
-        s0 = cum[self.cache.risk_sizes - 1]
+        s0 = w.cumsum()[self._risk_last]
         return offset, w, s0
 
     def _sweep(self, beta, want_value, want_grad):
@@ -72,24 +74,23 @@ class CoxObjective:
         eta = self._eta(beta)
         offset, w, s0 = self._risk_sums(eta)
         value = grad = None
-        if want_value:
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if want_value:
                 log_terms = self._d * (np.log(s0) + offset)
-            value = float((log_terms.sum() - eta[self.cache.event_rows].sum()) / self.n)
-            if not np.isfinite(value):
-                self._raise_nonfinite("partial likelihood", beta)
-        if want_grad:
-            # coefficient c_q = sum over groups whose risk prefix covers sorted
-            # position q of d_g / S0_g: a reverse cumsum of boundary marks
-            # (boundaries are distinct), scattered back to row order
-            marks = np.zeros(self.n)
-            r = np.empty(self.n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                marks[self.cache.risk_sizes - 1] = self._d / s0
-                r[self.cache.order] = w * np.cumsum(marks[::-1])[::-1]
+                value = float((log_terms.sum() - eta[self.cache.event_rows].sum()) / self.n)
+                if not math.isfinite(value):
+                    self._raise_nonfinite("partial likelihood", beta)
+            if want_grad:
+                # coefficient c_q = sum over groups whose risk prefix covers
+                # sorted position q of d_g / S0_g: a reverse cumsum of boundary
+                # marks (boundaries are distinct), scattered back to row order
+                marks = np.zeros(self.n)
+                r = np.empty(self.n)
+                marks[self._risk_last] = self._d / s0
+                r[self.cache.order] = w * marks[::-1].cumsum()[::-1]
                 grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
-            if not np.all(np.isfinite(grad)):
-                self._raise_nonfinite("gradient", beta)
+                if not np.isfinite(grad).all():
+                    self._raise_nonfinite("gradient", beta)
         return value, grad
 
     def _raise_nonfinite(self, what, beta):

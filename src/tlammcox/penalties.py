@@ -62,7 +62,7 @@ def mcp(lam: float, gamma: float = DEFAULT_MCP_GAMMA) -> PenaltySpec:
 def derivative(spec: PenaltySpec, t):
     """p'(t) for t >= 0 (scalar or array)."""
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("penalty derivative is defined on t >= 0")
     lam = spec.lam
     if spec.kind == "lasso":
@@ -75,30 +75,37 @@ def derivative(spec: PenaltySpec, t):
     return out if out.ndim else float(out)
 
 
-def value(spec: PenaltySpec, beta) -> float:
-    """sum_k p(|beta_k|), closed form per family."""
-    t = np.abs(np.asarray(beta, dtype=np.float64))
+def _per_coordinate(spec: PenaltySpec, t) -> np.ndarray:
+    """p(t) per coordinate of t = |beta| for SCAD and MCP; SCAD's middle
+    and flat pieces are evaluated only where t > lambda."""
     lam = spec.lam
-    if spec.kind == "lasso":
-        return float(lam * t.sum())
     if spec.kind == "scad":
         a = spec.shape
-        inner = lam * t
-        middle = (2 * a * lam * t - t * t - lam * lam) / (2 * (a - 1))
-        flat = lam * lam * (a + 1) / 2
-        per = np.where(t <= lam, inner, np.where(t <= a * lam, middle, flat))
-        return float(per.sum())
+        per = lam * t
+        above = t > lam
+        tb = t[above]
+        if tb.size:
+            middle = (2 * a * lam * tb - tb * tb - lam * lam) / (2 * (a - 1))
+            per[above] = np.where(tb <= a * lam, middle, lam * lam * (a + 1) / 2)
+        return per
     g = spec.shape
-    per = np.where(t <= g * lam, lam * t - t * t / (2 * g), g * lam * lam / 2)
-    return float(per.sum())
+    return np.where(t <= g * lam, lam * t - t * t / (2 * g), g * lam * lam / 2)
+
+
+def value(spec: PenaltySpec, beta) -> float:
+    """sum_k p(|beta_k|), closed form per family."""
+    t = np.abs(np.asarray(beta, dtype=np.float64).ravel())
+    if spec.kind == "lasso":
+        return float(spec.lam * t.sum())
+    return float(_per_coordinate(spec, t).sum())
 
 
 def shift_value(spec: PenaltySpec, beta) -> float:
     """h(beta) = sum_k p(|beta_k|) - lambda ||beta||_1 (concave, <= 0)."""
     if spec.kind == "lasso":
         return 0.0
-    beta = np.asarray(beta, dtype=np.float64)
-    return value(spec, beta) - spec.lam * float(np.abs(beta).sum())
+    t = np.abs(np.asarray(beta, dtype=np.float64).ravel())
+    return float(_per_coordinate(spec, t).sum()) - spec.lam * float(t.sum())
 
 
 def shift_gradient(spec: PenaltySpec, beta) -> np.ndarray:

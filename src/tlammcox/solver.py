@@ -161,33 +161,38 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     stage continues exactly where a single longer run would be.
     """
     eps = config.eps1 if stage == 1 else config.eps2
+    by_omega = config.stop_mode == "omega"
 
-    def l1_term(b):
-        if np.ndim(weights):
+    if np.ndim(weights):
+        def l1_term(b):
             return float(weights @ np.abs(b))
-        return weights * float(np.abs(b).sum())
+    else:
+        def l1_term(b):
+            return weights * float(np.abs(b).sum())
 
     if shift is None:
-        loss_fn, value_grad_fn = objective.nll, objective.value_and_gradient
+        loss_fn = objective.nll
     else:
         def loss_fn(b):
             return objective.nll(b) + shift_value(shift, b)
 
-        def value_grad_fn(b):
-            v, g = objective.value_and_gradient(b)
-            return v + shift_value(shift, b), g + shift_gradient(shift, b)
-
     beta = np.asarray(init, dtype=np.float64).copy()
-    loss, grad = value_grad_fn(beta)
+    loss, grad = objective.value_and_gradient(beta)
+    if shift is not None:
+        loss += shift_value(shift, beta)
+        grad = grad + shift_gradient(shift, beta)
     phi_prev = config.phi0 if phi_init is None else phi_init
+    # omega of the accepted iterate is the next step's pre-step test, so
+    # it is computed once per step plus once here
+    if by_omega and omega(grad, beta, weights) <= eps:
+        return beta, 0, True, phi_prev
     for k in range(1, config.max_iter_stage + 1):
-        if config.stop_mode == "omega":
-            w = omega(grad, beta, weights)
-            if w <= eps:
-                return beta, k - 1, True, phi_prev
         beta, phi, loss, step_norm, gap = line_search(
             loss_fn, beta, loss, grad, phi_prev, weights, config)
-        _, grad = value_grad_fn(beta)
+        # the accepted loss is line_search's, so no shift value is needed here
+        grad = objective.value_and_gradient(beta)[1]
+        if shift is not None:
+            grad = grad + shift_gradient(shift, beta)
         phi_prev = phi
         w = omega(grad, beta, weights)
         trace.records.append(TraceRecord(
@@ -195,9 +200,7 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             phi=phi, step_norm=step_norm,
             support=int(np.count_nonzero(beta)),
             majorization_gap=gap))
-        if config.stop_mode == "stepnorm" and step_norm <= eps:
-            return beta, k, True, phi_prev
-        if config.stop_mode == "omega" and w <= eps:
+        if (w if by_omega else step_norm) <= eps:
             return beta, k, True, phi_prev
         if step_norm == 0.0:
             # bitwise fixed point of the update map: below max_phi a zero

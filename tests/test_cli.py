@@ -180,8 +180,50 @@ def test_exit_code_config_error(tmp_path):
              "penalty": {"kind": "scad", "c": None}}, "penalty.c"),
     ("experiment", {"grid": {"n": 300, "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6}}}, "grid.n"),
+    # integer keys: a fractional number or a boolean is not truncated
+    ("simulate", dict(sim_config(), n=60.9), "config.n"),
+    ("simulate", dict(sim_config(), p=True), "config.p"),
+    ("simulate", dict(sim_config(), seed=1.5), "config.seed"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"max_iter_stage": 10.5},
+             "penalty": {"kind": "scad", "c": 0.65}}, "solver.max_iter_stage"),
+    ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "lasso",
+            "folds": 2.5}, "config.folds"),
+    ("experiment", {"grid": {"n": [300.5], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}}}, "grid.n"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1.5, "c_by_penalty": {"scad": 0.6}}}, "grid.reps"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2.5, "r": 0.3},
+     "config.m"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_integral_float_config_value_accepted(tmp_path):
+    cfg = write_config(tmp_path, "sim.json", dict(sim_config(), n=60.0))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "dataset.csv").read_text().strip().splitlines()) == 61
+
+
+@pytest.mark.parametrize("kind, shape_key, value", [
+    ("mcp", "a", 9.0), ("scad", "gamma", 3.0),
+    ("lasso", "a", 3.7), ("lasso", "gamma", 3.0),
+])
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_foreign_penalty_shape_key_exits_2(tmp_path, capsys, command, kind,
+                                           shape_key, value):
+    data = {"simulate": sim_config()}
+    if command == "fit":
+        payload = {"data": data, "penalty": {"kind": kind, "c": 0.8, shape_key: value}}
+        key = f"penalty.{shape_key}"
+    else:
+        payload = {"data": data, "penalty_kind": kind, "c_grid": [0.5],
+                   shape_key: value}
+        key = f"config.{shape_key}"
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err

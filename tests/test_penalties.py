@@ -124,3 +124,70 @@ def test_soft_threshold_examples():
     assert_allclose(soft_threshold(np.array([3.0, -0.5, -2.0]),
                                    np.array([1.0, 1.0, 0.5])),
                     [2.0, 0.0, -1.5])
+
+
+# verbatim nested np.where formulas of the closed forms; the package must
+# give the same bits
+def where_derivative(spec, t):
+    t = np.asarray(t, dtype=np.float64)
+    lam = spec.lam
+    if spec.kind == "lasso":
+        out = np.full_like(t, lam)
+    elif spec.kind == "scad":
+        a = spec.shape
+        out = np.where(t <= lam, lam, np.maximum(a * lam - t, 0.0) / (a - 1.0))
+    else:
+        out = np.maximum(lam - t / spec.shape, 0.0)
+    return out if out.ndim else float(out)
+
+
+def where_value(spec, beta):
+    t = np.abs(np.asarray(beta, dtype=np.float64))
+    lam = spec.lam
+    if spec.kind == "lasso":
+        return float(lam * t.sum())
+    if spec.kind == "scad":
+        a = spec.shape
+        inner = lam * t
+        middle = (2 * a * lam * t - t * t - lam * lam) / (2 * (a - 1))
+        flat = lam * lam * (a + 1) / 2
+        per = np.where(t <= lam, inner, np.where(t <= a * lam, middle, flat))
+        return float(per.sum())
+    g = spec.shape
+    per = np.where(t <= g * lam, lam * t - t * t / (2 * g), g * lam * lam / 2)
+    return float(per.sum())
+
+
+def where_shift_value(spec, beta):
+    if spec.kind == "lasso":
+        return 0.0
+    beta = np.asarray(beta, dtype=np.float64)
+    return where_value(spec, beta) - spec.lam * float(np.abs(beta).sum())
+
+
+def where_shift_gradient(spec, beta):
+    beta = np.asarray(beta, dtype=np.float64)
+    if spec.kind == "lasso":
+        return np.zeros_like(beta)
+    return (where_derivative(spec, np.abs(beta)) - spec.lam) * np.sign(beta)
+
+
+@pytest.mark.parametrize("spec", [scad(0.3), scad(0.45, 2.5), mcp(0.3),
+                                  mcp(0.45, 1.5), lasso(0.3)])
+def test_penalty_values_bitwise_equal_to_where_formulas(spec):
+    rng = np.random.default_rng(9)
+    lam = spec.lam
+    kinks = [lam] + ([spec.shape * lam] if np.isfinite(spec.shape) else [])
+    special = np.array([0.0, -0.0] + kinks + [-k for k in kinks])
+    for trial in range(200):
+        p = int(rng.integers(1, 60))
+        beta = rng.standard_normal(p) * rng.choice([0.1, 1.0, 5.0]) * lam
+        beta[rng.uniform(size=p) < 0.4] = 0.0
+        picks = rng.integers(0, p, size=min(p, 6))
+        beta[picks] = rng.choice(special, size=picks.size)
+        if trial == 0:
+            beta = special.copy()
+        assert value(spec, beta) == where_value(spec, beta)
+        assert shift_value(spec, beta) == where_shift_value(spec, beta)
+        assert (shift_gradient(spec, beta).tobytes()
+                == where_shift_gradient(spec, beta).tobytes())

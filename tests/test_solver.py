@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from tlammcox import (ConfigError, CoxObjective, LineSearchError,
                       SimulationConfig, SolverConfig, fit_restricted, ilamm,
                       lasso, mcp, omega, scad, simulate_dataset, tlamm)
+from tlammcox import solver
 from tlammcox.solver import lamm_step, line_search, stage1_lasso, stage2
 from conftest import random_dataset
 
@@ -336,3 +338,44 @@ def test_fit_result_support_and_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "stage,iter,F,omega,phi,step_norm,support"
     assert len(lines) == len(fit.trace.records) + 1
+
+
+@pytest.mark.parametrize("method", [tlamm, ilamm])
+def test_work_per_step_is_pinned(monkeypatch, method):
+    """Omega stopping: omega once per accepted step plus once per stage, the
+    shift value once per line-search trial plus once per stage-2 start, one
+    nll per trial and one value_and_gradient per step plus one per stage."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("omega", "shift_value", "lamm_step"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    for name in ("nll", "value_and_gradient"):
+        monkeypatch.setattr(CoxObjective, name,
+                            counting(name, getattr(CoxObjective, name)))
+    stages = []     # (shifted, accepted steps, line-search trials) per stage
+    lamm_loop = solver._lamm_loop
+
+    def recording_loop(*args, **kwargs):
+        trials_before = counts["lamm_step"]
+        out = lamm_loop(*args, **kwargs)
+        stages.append((kwargs.get("shift") is not None, out[1],
+                       counts["lamm_step"] - trials_before))
+        return out
+
+    monkeypatch.setattr(solver, "_lamm_loop", recording_loop)
+    ds, _ = simulate_dataset(SimulationConfig(n=120, p=30, s=5, seed=11))
+    fit = method(ds, scad(0.65 * math.sqrt(math.log(30) / 120)), SolverConfig())
+    steps = sum(k for _, k, _ in stages)
+    trials = sum(t for _, _, t in stages)
+    shifted = [(k, t) for shift, k, t in stages if shift]
+    assert steps == sum(fit.iterations) and fit.iterations[1] > 0
+    assert counts["omega"] == steps + len(stages)
+    assert counts["shift_value"] == sum(t + 1 for _, t in shifted)
+    assert counts["nll"] == trials == counts["lamm_step"]
+    assert counts["value_and_gradient"] == steps + len(stages)
