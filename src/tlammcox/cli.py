@@ -74,6 +74,13 @@ def _int(value):
     return int(value)
 
 
+def _float(value):
+    """float(value), rejecting booleans, which float() would take as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number")
+    return float(value)
+
+
 def _seed(obj, seed_override, where, default=_REQUIRED):
     """The --seed override when given, else obj["seed"]."""
     if seed_override is not None:
@@ -93,7 +100,7 @@ def _list_of(kind):
 def _float_map(value):
     if not isinstance(value, dict):
         raise TypeError("expected an object")
-    return {k: float(v) for k, v in value.items()}
+    return {k: _float(v) for k, v in value.items()}
 
 
 def _parse_design(obj, where="design"):
@@ -104,25 +111,25 @@ def _parse_design(obj, where="design"):
             raise ConfigError(f"{where}: independent design takes no rho")
         return Independent()
     if kind == "constant_correlation":
-        return ConstantCorrelation(_read(obj, "rho", float, where))
+        return ConstantCorrelation(_read(obj, "rho", _float, where))
     if kind == "autoregressive":
-        return Autoregressive(_read(obj, "rho", float, where))
+        return Autoregressive(_read(obj, "rho", _float, where))
     raise ConfigError(f"{where}: unknown design kind {kind!r}")
 
 
 def _parse_signal(obj, where="signal"):
     _require_keys(obj, {"kind", "value", "values"}, {"kind"}, where)
     if obj["kind"] == "constant":
-        return ConstantSignal(_read(obj, "value", float, where, 0.8))
+        return ConstantSignal(_read(obj, "value", _float, where, 0.8))
     if obj["kind"] == "decaying":
-        return DecayingSignal(_read(obj, "values", _list_of(float), where))
+        return DecayingSignal(_read(obj, "values", _list_of(_float), where))
     raise ConfigError(f"{where}: unknown signal kind {obj['kind']!r}")
 
 
 def _parse_sim_config(obj, seed_override=None, where="simulate"):
     _require_keys(obj, {"n", "p", "s", "signal", "design", "censoring", "seed"},
                   {"n", "p", "s", "seed"}, where)
-    censoring = _read(obj, "censoring", _list_of(float), where, (2.0, 3.0))
+    censoring = _read(obj, "censoring", _list_of(_float), where, (2.0, 3.0))
     if len(censoring) != 2:
         raise ConfigError(f"{where}: censoring must be [low, high]")
     return SimulationConfig(
@@ -140,7 +147,7 @@ def _parse_solver(obj, where="solver"):
         return SolverConfig()
     fields = dataclasses.fields(SolverConfig)
     _require_keys(obj, {f.name for f in fields}, set(), where)
-    convert = {int: _int, float: float, str: str}
+    convert = {int: _int, float: _float, str: str}
     return SolverConfig(**{f.name: _read(obj, f.name, convert[type(f.default)], where,
                                          f.default)
                            for f in fields})
@@ -153,8 +160,8 @@ def _parse_penalty(obj, n, p, where="penalty"):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     if ("lambda" in obj) == ("c" in obj):
         raise ConfigError(f"{where}: give exactly one of lambda or c")
-    lam = _read(obj, "lambda", float, where) if "lambda" in obj else \
-        _read(obj, "c", float, where) * math.sqrt(math.log(p) / n)
+    lam = _read(obj, "lambda", _float, where) if "lambda" in obj else \
+        _read(obj, "c", _float, where) * math.sqrt(math.log(p) / n)
     return PenaltySpec(kind, lam, _read_shape(obj, kind, where))
 
 
@@ -165,7 +172,7 @@ def _read_shape(obj, kind, where):
     for other in ("a", "gamma"):
         if other != key and obj.get(other) is not None:
             raise ConfigError(f"{where}.{other}: not a shape of the {kind} penalty")
-    return float("nan") if key is None else _read(obj, key, float, where, float("nan"))
+    return float("nan") if key is None else _read(obj, key, _float, where, float("nan"))
 
 
 def _load_data(obj, seed_override=None, where="data"):
@@ -240,6 +247,7 @@ def cmd_fit(cfg, out_dir, seed_override, threads):
         "penalty": spec.kind,
         "iterations": list(fit.iterations),
         "converged": list(fit.converged),
+        "status": fit.status,
         "final_objective": final_f,
         "final_omega": final_omega,
         "support_size": int(fit.support.size),
@@ -264,7 +272,7 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
     shape = _read_shape(cfg, kind, "config")
     result = cross_validate(
         dataset, kind, folds=_read(cfg, "folds", _int, "config", 3),
-        c_grid=_read(cfg, "c_grid", _list_of(float), "config", None),
+        c_grid=_read(cfg, "c_grid", _list_of(_float), "config", None),
         config=_parse_solver(cfg.get("solver")),
         seed=_seed(cfg, seed_override, "config", 0),
         shape=shape, threads=threads)
@@ -277,6 +285,8 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
         "chosen_lambda": result.chosen_lambda,
         "criterion": result.criterion,
         "fold_seed": result.fold_seed,
+        "fold_statuses": [{"c": c, "statuses": list(statuses)}
+                          for c, statuses in zip(result.c_grid, result.statuses)],
         "penalty_kind": kind,
     })
     return 0
@@ -292,13 +302,13 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     c_by_penalty = _read(obj, "c_by_penalty", _float_map, "grid", {})
     s = _read(obj, "s", _int, "grid", 10)
     signal = _read(obj, "signal", _parse_signal, "grid", ConstantSignal(0.8))
-    scad_a = _read(obj, "scad_a", float, "grid", DEFAULT_SCAD_A)
-    mcp_gamma = _read(obj, "mcp_gamma", float, "grid", DEFAULT_MCP_GAMMA)
+    scad_a = _read(obj, "scad_a", _float, "grid", DEFAULT_SCAD_A)
+    mcp_gamma = _read(obj, "mcp_gamma", _float, "grid", DEFAULT_MCP_GAMMA)
     # every value is read before the tuning CV, so a malformed one fails fast
     n_values = _read(obj, "n", _list_of(_int), "grid")
     p_values = _read(obj, "p", _list_of(_int), "grid")
     reps = _read(obj, "reps", _int, "grid")
-    censoring = _read(obj, "censoring", _list_of(float), "grid", (2.0, 3.0))
+    censoring = _read(obj, "censoring", _list_of(_float), "grid", (2.0, 3.0))
     if "tune" in obj:
         tune = obj["tune"]
         _require_keys(tune, {"n", "p", "folds", "seed", "design"}, set(), "grid.tune")
@@ -350,11 +360,11 @@ def cmd_diagnose(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"data", "beta_star", "m", "r", "n_beta_samples", "seed"},
                   {"data", "m", "r"}, "config")
     dataset, truth = _load_data(cfg["data"])
-    beta_star = _read(cfg, "beta_star", _list_of(float), "config", truth)
+    beta_star = _read(cfg, "beta_star", _list_of(_float), "config", truth)
     if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
     report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64),
-                       m=_read(cfg, "m", _int, "config"), r=_read(cfg, "r", float, "config"),
+                       m=_read(cfg, "m", _int, "config"), r=_read(cfg, "r", _float, "config"),
                        n_beta_samples=_read(cfg, "n_beta_samples", _int, "config", 0),
                        seed=_seed(cfg, seed_override, "config", 0))
     _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())

@@ -5,7 +5,9 @@ runner behind the benchmark tables.
 The cross-validation criterion is the held-out partial-likelihood deviance
 sum_k [ n * nll_full(beta_k) - n_train * nll_train(beta_k) ]: subtracting
 the training likelihood at the training fit avoids the bias a per-fold
-partial likelihood picks up from fold-specific risk sets.
+partial likelihood picks up from fold-specific risk sets. A c with a
+saturated fold fit (support at least the training events) is never
+preferred to one without.
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ def concordance_index(beta_hat, dataset: SurvivalDataset) -> float:
 class CvResult:
     c_grid: tuple
     criteria: tuple
+    statuses: tuple            # per c, one FitResult.status per fold
     chosen_c: float
     chosen_lambda: float
     criterion: str = CV_CRITERION_NAME
@@ -155,7 +158,7 @@ def _make_folds(n, n_folds, seed, status, attempts=10):
 def _cv_fit_task(args):
     train, spec, config = args
     fit = tlamm(train, spec, config)
-    return fit.beta
+    return fit.beta, fit.status
 
 
 def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
@@ -163,7 +166,8 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
                    config: SolverConfig = SolverConfig(), seed: int = 0,
                    shape: float = float("nan"), threads: int = 1) -> CvResult:
     """Tune c over the grid by k-fold held-out deviance; ties go to the
-    smallest c. Every fold fit for a given c uses the same
+    smallest c, and a c with a saturated fold fit loses to any c without
+    one. Every fold fit for a given c uses the same
     lambda_c = c sqrt(log p / n) with n the full-sample size.
     """
     c_grid = sorted(default_c_grid() if c_grid is None else [float(c) for c in c_grid])
@@ -186,23 +190,25 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
         lam = c * math.sqrt(math.log(dataset.p) / dataset.n)
         for train in trains:
             tasks.append((train, PenaltySpec(penalty_kind, lam, shape), config))
-    betas = list(_pmap(_cv_fit_task, tasks, threads))
+    fits = iter(list(_pmap(_cv_fit_task, tasks, threads)))
 
-    criteria = []
-    i = 0
+    criteria, statuses = [], []
     for _c in c_grid:
         total = 0.0
+        c_statuses = []
         for train, train_obj in zip(trains, train_objs):
-            beta = betas[i]
-            i += 1
+            beta, status = next(fits)
+            c_statuses.append(status)
             total += dataset.n * full_obj.nll(beta) - train.n * train_obj.nll(beta)
         criteria.append(total)
-    best = int(np.argmin(criteria))
+        statuses.append(tuple(c_statuses))
+    best = min(range(len(c_grid)),
+               key=lambda i: ("saturated" in statuses[i], criteria[i]))
     chosen_c = c_grid[best]
     chosen_lambda = chosen_c * math.sqrt(math.log(dataset.p) / dataset.n)
     return CvResult(c_grid=tuple(c_grid), criteria=tuple(criteria),
-                    chosen_c=chosen_c, chosen_lambda=chosen_lambda,
-                    fold_seed=fold_seed)
+                    statuses=tuple(statuses), chosen_c=chosen_c,
+                    chosen_lambda=chosen_lambda, fold_seed=fold_seed)
 
 
 # -------------------------------------------------------------------- grid
@@ -280,13 +286,14 @@ def _run_rep(args):
                 beta = fit_restricted(dataset, true_support)
                 seconds = time.perf_counter() - t0
                 iters1 = iters2 = 0
+                status = "converged"      # fit_restricted raises otherwise
             else:
                 kind = method_penalty_kind(method)
                 lam = grid.c_by_penalty[kind] * math.sqrt(math.log(p) / n)
                 spec = PenaltySpec(kind, lam, shapes[kind])
                 fit: FitResult = (tlamm if method.startswith(("lasso", "tlamm"))
                                   else ilamm)(dataset, spec, config)
-                beta, seconds = fit.beta, fit.seconds
+                beta, seconds, status = fit.beta, fit.seconds, fit.status
                 iters1, iters2 = fit.iterations
         except (SolverError, DataError) as exc:
             row.update(error=f"{type(exc).__name__}: {exc}")
@@ -294,7 +301,7 @@ def _run_rep(args):
         sel = selection_metrics(beta, true_support)
         row.update(l2=l2_error(beta, beta_star), tp=sel.tp, fp=sel.fp,
                    sens=sel.sensitivity, spec=sel.specificity,
-                   iters1=iters1, iters2=iters2, seconds=seconds)
+                   iters1=iters1, iters2=iters2, seconds=seconds, status=status)
     return rows
 
 
@@ -329,7 +336,9 @@ def run_experiment(grid: ExperimentGrid,
     see identical data within a rep and results do not depend on the
     thread count. Rows are rep-major (design, n, p, rep, then method, each
     in grid order) and stream to out_csv rep by rep. Failed units are
-    recorded and skipped in medians.
+    recorded and skipped in medians; each cell counts in
+    `reps_nonconverged` the fits in its medians whose status is not
+    "converged".
     """
     tasks = [(grid, config, di, design, int(n), int(p), rep)
              for (di, design), n, p, rep in itertools.product(
@@ -366,5 +375,7 @@ def run_experiment(grid: ExperimentGrid,
         medians.append({"design": design.name, "method": method, "n": n,
                         "p": p, "reps_ok": len(cell_rows),
                         "reps_failed": grid.reps - len(cell_rows),
+                        "reps_nonconverged": sum(r["status"] != "converged"
+                                                 for r in cell_rows),
                         "median": med})
     return ExperimentResult(rows=rows, cell_medians=medians, failures=failures)

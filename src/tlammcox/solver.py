@@ -9,6 +9,11 @@ is inflated by gamma_u until the model majorizes the smooth loss at the
 candidate. Stage 1 runs on the raw loss (l1 relaxation); stage 2 runs on
 the shifted loss whose gradient adds the concave penalty shift, so its
 fixed points solve the folded-concave problem.
+
+Every stage after stage 1 also stops once the iterate's support reaches
+the number of events: past that point the partial likelihood can flatten
+along a diverging direction (monotone likelihood), so further steps buy
+nothing. Each fit reports how its last stage ended in `FitResult.status`.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ class FitResult:
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
     converged: tuple                  # (stage1, stage2)
+    # how the last stage ended: "converged", "max_iter" (step or stage
+    # cap), "saturated" (support >= events) or "stalled" (zero step with
+    # omega > eps)
+    status: str
     seconds: float = 0.0
 
     @property
@@ -159,9 +168,16 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     mode (consecutive-iterate distance) always takes at least one step.
     phi_init carries the accepted curvature across stages so a follow-on
     stage continues exactly where a single longer run would be.
+
+    Every stage after stage 1 stops, unconverged, once the support is at
+    least the number of events: at the start, so a saturated init takes no
+    step, and after each accepted step. Stage 1 is not tested, since the
+    l1 burn-in at small lambda passes through saturated iterates early on
+    and then leaves them.
     """
     eps = config.eps1 if stage == 1 else config.eps2
     by_omega = config.stop_mode == "omega"
+    saturation = objective.dataset.n_events if stage > 1 else None
 
     if np.ndim(weights):
         def l1_term(b):
@@ -177,11 +193,13 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             return objective.nll(b) + shift_value(shift, b)
 
     beta = np.asarray(init, dtype=np.float64).copy()
+    phi_prev = config.phi0 if phi_init is None else phi_init
+    if saturation is not None and np.count_nonzero(beta) >= saturation:
+        return beta, 0, False, phi_prev
     loss, grad = objective.value_and_gradient(beta)
     if shift is not None:
         loss += shift_value(shift, beta)
         grad = grad + shift_gradient(shift, beta)
-    phi_prev = config.phi0 if phi_init is None else phi_init
     # omega of the accepted iterate is the next step's pre-step test, so
     # it is computed once per step plus once here
     if by_omega and omega(grad, beta, weights) <= eps:
@@ -195,11 +213,13 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             grad = grad + shift_gradient(shift, beta)
         phi_prev = phi
         w = omega(grad, beta, weights)
+        support = int(np.count_nonzero(beta))
         trace.records.append(TraceRecord(
             stage=stage, k=k, objective=loss + l1_term(beta), omega=w,
-            phi=phi, step_norm=step_norm,
-            support=int(np.count_nonzero(beta)),
+            phi=phi, step_norm=step_norm, support=support,
             majorization_gap=gap))
+        if saturation is not None and support >= saturation:
+            return beta, k, False, phi_prev
         if (w if by_omega else step_norm) <= eps:
             return beta, k, True, phi_prev
         if step_norm == 0.0:
@@ -208,6 +228,19 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             # so no representable descent remains
             return beta, k, w <= eps, phi_prev
     return beta, config.max_iter_stage, False, phi_prev
+
+
+def _exit_status(objective: CoxObjective, beta, steps, ok, stage,
+                 trace: SolverTrace) -> str:
+    """FitResult.status of one `_lamm_loop` run, read from its output in
+    the order the loop tests its exits."""
+    if ok:
+        return "converged"
+    if stage > 1 and np.count_nonzero(beta) >= objective.dataset.n_events:
+        return "saturated"
+    if steps and trace.records[-1].step_norm == 0.0:
+        return "stalled"
+    return "max_iter"
 
 
 def stage1_lasso(objective: CoxObjective, lam: float, config: SolverConfig):
@@ -243,6 +276,7 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
     trace.records.extend(tr2.records)
     return FitResult(beta=b2, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, k2), trace=trace, converged=(ok1, ok2),
+                     status=_exit_status(objective, b2, k2, ok2, 2, trace),
                      seconds=time.perf_counter() - t0)
 
 
@@ -252,8 +286,8 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     """Iterative weighted-l1 baseline: after the burn-in, repeatedly solve
     an adaptive Lasso whose weights are the penalty derivative at the
     previous stage's coefficients; stops early once consecutive stage
-    outputs are within eps2 in l2; running out of max_stages first clears
-    converged[1]."""
+    outputs are within eps2 in l2, or once a stage saturates; running out
+    of max_stages first clears converged[1] and gives status max_iter."""
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi = stage1_lasso(objective, spec.lam, config)
@@ -267,13 +301,15 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
                                             trace=trace, phi_init=phi)
         total_steps += steps
         ok_tighten = ok_tighten and ok
+        status = _exit_status(objective, b_next, steps, ok, ell, trace)
         gap = float(np.linalg.norm(b_next - b_prev))
         b_prev = b_next
-        if gap <= config.eps2:
+        if status == "saturated" or gap <= config.eps2:
             break
     else:
         ok_tighten = False
+        status = "max_iter"
     return FitResult(beta=b_prev, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, total_steps), trace=trace,
-                     converged=(ok1, ok_tighten),
+                     converged=(ok1, ok_tighten), status=status,
                      seconds=time.perf_counter() - t0)

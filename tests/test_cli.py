@@ -50,6 +50,7 @@ def test_fit_outputs_with_truth_metrics(tmp_path, sim_out):
     assert main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] == [True, True]
+    assert summary["status"] == "converged"
     assert "l2_error" in summary and "selection" in summary
     beta_lines = (out / "beta.csv").read_text().strip().splitlines()
     assert beta_lines[0] == "index,value"
@@ -94,6 +95,7 @@ def test_cv_outputs(tmp_path):
     assert summary["chosen_c"] == 0.4
     assert summary["chosen_lambda"] == pytest.approx(
         0.4 * math.sqrt(math.log(10) / 90))
+    assert summary["fold_statuses"] == [{"c": 0.4, "statuses": ["converged"] * 3}]
     out2 = tmp_path / "cv2"
     assert main(["cv", "--config", cfg, "--out", str(out2)]) == 0
     assert (out / "cv.csv").read_bytes() == (out2 / "cv.csv").read_bytes()
@@ -194,6 +196,23 @@ def test_exit_code_config_error(tmp_path):
                              "reps": 1.5, "c_by_penalty": {"scad": 0.6}}}, "grid.reps"),
     ("diagnose", {"data": {"simulate": sim_config()}, "m": 2.5, "r": 0.3},
      "config.m"),
+    # float keys: a boolean is not read as 0.0 or 1.0
+    ("fit", {"data": {"simulate": sim_config()},
+             "penalty": {"kind": "scad", "c": True}}, "penalty.c"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"eps1": True},
+             "penalty": {"kind": "scad", "c": 0.65}}, "solver.eps1"),
+    ("fit", {"data": {"simulate": sim_config()},
+             "penalty": {"kind": "mcp", "c": 0.8, "gamma": False}}, "penalty.gamma"),
+    ("simulate", dict(sim_config(), censoring=[2, True]), "config.censoring"),
+    ("simulate", dict(sim_config(), design={"kind": "autoregressive", "rho": True}),
+     "design.rho"),
+    ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "lasso",
+            "c_grid": [0.5, True]}, "config.c_grid"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": True}}},
+     "grid.c_by_penalty"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": True},
+     "config.r"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -9,6 +9,7 @@ from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
                       SimulationConfig, SolverConfig, SurvivalDataset,
                       UndefinedMetricError, concordance_index, cross_validate,
                       l2_error, selection_metrics, simulate_dataset)
+from tlammcox import evaluation
 from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
                                  default_c_grid, method_penalty_kind,
                                  run_experiment)
@@ -193,6 +194,30 @@ def test_cross_validate_deterministic():
     assert a.criteria == b.criteria and a.chosen_c == b.chosen_c
 
 
+def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
+    ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=6))
+    grid = [0.2, 0.4, 0.6]
+    plain = cross_validate(ds, "scad", c_grid=grid, seed=3)
+    assert all(s == ("converged",) * 3 for s in plain.statuses)
+    fit_task = evaluation._cv_fit_task
+    marked = []
+
+    def saturate_one_fold_of_best_c(args):
+        beta, status = fit_task(args)
+        if args[1].lam == plain.chosen_lambda and not marked:
+            marked.append(args)
+            status = "saturated"
+        return beta, status
+
+    monkeypatch.setattr(evaluation, "_cv_fit_task", saturate_one_fold_of_best_c)
+    res = cross_validate(ds, "scad", c_grid=grid, seed=3)
+    assert marked and res.criteria == plain.criteria
+    best = grid.index(plain.chosen_c)
+    assert res.statuses[best].count("saturated") == 1
+    rest = [i for i in range(len(grid)) if i != best]
+    assert res.chosen_c == grid[min(rest, key=lambda i: res.criteria[i])]
+
+
 def test_cross_validate_eventless_fold_error():
     times = np.linspace(1, 2, 9)
     status = np.zeros(9)
@@ -235,6 +260,20 @@ def test_run_experiment_single_cell(tmp_path):
     assert len(lines) == 2
     assert len(res.rows) == 1 and not res.any_failed
     assert res.cell_medians[0]["median"]["tp"] <= 3
+    assert res.rows[0]["status"] == "converged"
+    assert res.cell_medians[0]["reps_nonconverged"] == 0
+
+
+def test_cell_medians_count_nonconverged_fits():
+    grid = ExperimentGrid(n_values=(60,), p_values=(8,),
+                          designs=(Independent(),),
+                          methods=("oracle", "tlamm-scad"),
+                          reps=2, seed=12, c_by_penalty={"scad": 0.6}, s=3)
+    res = run_experiment(grid, SolverConfig(max_iter_stage=2))
+    assert [r["status"] for r in res.rows] == ["converged", "max_iter"] * 2
+    oracle, capped = res.cell_medians
+    assert (oracle["reps_ok"], oracle["reps_nonconverged"]) == (2, 0)
+    assert (capped["reps_ok"], capped["reps_nonconverged"]) == (2, 2)
 
 
 def test_run_experiment_deterministic_modulo_seconds(tmp_path):

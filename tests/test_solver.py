@@ -207,6 +207,7 @@ def test_ilamm_lasso_fixed_point():
     a = tlamm(ds, lasso(0.1), cfg)
     b = ilamm(ds, lasso(0.1), cfg)
     assert np.abs(a.beta - b.beta).max() <= 1e-8
+    assert a.status == b.status == "converged"
 
 
 def test_trace_invariants_benchmark_fit():
@@ -257,6 +258,12 @@ def test_float_floor_stall_is_flagged():
     assert steps < 5000
     if not ok:
         assert trace.records[-1].step_norm == 0.0
+    # a fit whose last stage ends on such a zero step reports it as stalled
+    fit = tlamm(ds, scad(0.05), SolverConfig(eps1=1e-14, eps2=1e-14,
+                                             max_iter_stage=5000))
+    last = fit.trace.records[-1]
+    assert fit.status == "stalled" and not fit.converged[1]
+    assert last.stage == 2 and last.step_norm == 0.0 and last.omega > 1e-14
 
 
 def test_max_iter_flagged_not_raised():
@@ -264,6 +271,8 @@ def test_max_iter_flagged_not_raised():
     fit = tlamm(ds, scad(0.08), SolverConfig(max_iter_stage=2))
     assert fit.converged == (False, False)
     assert fit.iterations == (2, 2)
+    fit = tlamm(ds, scad(0.08), SolverConfig(max_iter_stage=5))
+    assert fit.iterations == (5, 5) and fit.status == "max_iter"
 
 
 def test_ilamm_stage_cap_clears_convergence_flag():
@@ -271,8 +280,52 @@ def test_ilamm_stage_cap_clears_convergence_flag():
     # settle, so a cap of two stages cuts the loop off unconverged
     ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
     spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
-    assert ilamm(ds, spec, SolverConfig(), max_stages=2).converged == (True, False)
-    assert ilamm(ds, spec, SolverConfig()).converged == (True, True)
+    capped = ilamm(ds, spec, SolverConfig(), max_stages=2)
+    assert capped.converged == (True, False) and capped.status == "max_iter"
+    settled = ilamm(ds, spec, SolverConfig())
+    assert settled.converged == (True, True) and settled.status == "converged"
+
+
+def saturating_input():
+    """80 subjects, 49 events, p=60: SCAD at c=0.15 leaves stage 1 with 36
+    coordinates and grows past the event count in stage 2."""
+    ds, _ = simulate_dataset(SimulationConfig(n=80, p=60, s=4, seed=2))
+    return ds, scad(0.15 * math.sqrt(math.log(60) / 80))
+
+
+def test_saturated_stage2_stops_at_first_saturated_record():
+    ds, spec = saturating_input()
+    fit = tlamm(ds, spec, SolverConfig())
+    support = [r.support for r in fit.trace.stage_records(2)]
+    assert fit.status == "saturated" and fit.converged[1] is False
+    assert np.count_nonzero(fit.stage1_beta) < ds.n_events
+    assert fit.iterations[1] == len(support) > 1
+    assert support[-1] >= ds.n_events > max(support[:-1])
+    assert fit.support.size == support[-1]
+
+
+def test_saturated_stage1_output_takes_no_stage2_step():
+    # p > n: the l1 burn-in already ends with more coordinates than events
+    ds, _ = simulate_dataset(SimulationConfig(n=60, p=80, s=4, seed=3))
+    spec = scad(0.1 * math.sqrt(math.log(80) / 60))
+    for method in (tlamm, ilamm):
+        fit = method(ds, spec, SolverConfig())
+        assert np.count_nonzero(fit.stage1_beta) >= ds.n_events
+        assert fit.iterations[1] == 0 and fit.status == "saturated"
+        assert fit.converged == (True, False)
+        assert np.array_equal(fit.beta, fit.stage1_beta)
+        assert {r.stage for r in fit.trace.records} == {1}
+
+
+def test_ilamm_stops_at_saturated_stage():
+    ds, spec = saturating_input()
+    fit = ilamm(ds, spec, SolverConfig())
+    later = [r for r in fit.trace.records if r.stage > 1]
+    assert fit.status == "saturated" and fit.converged[1] is False
+    assert later[-1].stage > 2      # the earlier reweighted stages ran unsaturated
+    assert later[-1].support >= ds.n_events
+    assert all(r.support < ds.n_events for r in later[:-1])
+    assert fit.support.size == later[-1].support
 
 
 def test_line_search_failure_propagates_from_fit():
