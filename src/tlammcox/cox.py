@@ -56,7 +56,7 @@ class CoxObjective:
             raise ValueError("beta contains non-finite entries")
         x = self.dataset.covariates
         if self.p >= _GATHER_MIN_P:
-            support = np.flatnonzero(beta)
+            support = (beta != 0.0).nonzero()[0]
             if support.size * _GATHER_RATIO <= self.p:
                 return x[:, support] @ beta[support]
         return x @ beta
@@ -68,6 +68,14 @@ class CoxObjective:
         w = np.exp(eta[self.cache.order] - offset)
         s0 = w.cumsum()[self._risk_last]
         return offset, w, s0
+
+    def _risk_coefficients(self, s0):
+        """c_q = sum over groups whose risk prefix covers sorted position q
+        of d_g / S0_g: a reverse cumsum of boundary marks (boundaries are
+        distinct), in descending-time order."""
+        marks = np.zeros(self.n)
+        marks[self._risk_last] = self._d / s0
+        return marks[::-1].cumsum()[::-1]
 
     def _sweep(self, beta, want_value, want_grad):
         """One descending-time sweep; returns (value or None, grad or None)."""
@@ -81,13 +89,8 @@ class CoxObjective:
                 if not math.isfinite(value):
                     self._raise_nonfinite("partial likelihood", beta)
             if want_grad:
-                # coefficient c_q = sum over groups whose risk prefix covers
-                # sorted position q of d_g / S0_g: a reverse cumsum of boundary
-                # marks (boundaries are distinct), scattered back to row order
-                marks = np.zeros(self.n)
                 r = np.empty(self.n)
-                marks[self._risk_last] = self._d / s0
-                r[self.cache.order] = w * marks[::-1].cumsum()[::-1]
+                r[self.cache.order] = w * self._risk_coefficients(s0)
                 grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
                 if not np.isfinite(grad).all():
                     self._raise_nonfinite("gradient", beta)
@@ -111,30 +114,26 @@ class CoxObjective:
         return self._sweep(beta, True, True)
 
     def hessian(self, beta, p_cap: int = HESSIAN_P_CAP) -> np.ndarray:
-        """(1/n) sum over events of S2/S0 - (S1/S0)^{x2}, accumulated
-        group-by-group from the largest time down. Diagnostics only."""
+        """(1/n) sum over events of S2/S0 - (S1/S0)^{x2}, in closed form over
+        the time-sorted design X_o:
+
+            H = (X_o^T diag(w c) X_o - Xbar^T diag(d) Xbar) / n,
+
+        with c the risk coefficients of the gradient and Xbar the prefix
+        sums of w X_o at each group's risk boundary over S0. O(n p^2) time,
+        O(n p) memory. Used by `fit_restricted`'s Newton steps and by the
+        curvature diagnostics; capped at p <= p_cap."""
         if self.p > p_cap:
             raise CapabilityError(
                 f"hessian materialization capped at p <= {p_cap}, got p = {self.p}")
         eta = self._eta(beta)
-        _, w, s0_groups = self._risk_sums(eta)
-        h = np.zeros((self.p, self.p))
-        s1 = np.zeros(self.p)
-        s2 = np.zeros((self.p, self.p))
-        s0 = 0.0
-        filled = 0
-        for g in range(len(self._d) - 1, -1, -1):
-            boundary = self.cache.risk_sizes[g]
-            if boundary > filled:
-                block = self.dataset.covariates[self.cache.order[filled:boundary]]
-                wb = w[filled:boundary]
-                s0 += wb.sum()
-                s1 += block.T @ wb
-                s2 += (block * wb[:, None]).T @ block
-                filled = boundary
-            xbar = s1 / s0
-            h += self._d[g] * (s2 / s0 - np.outer(xbar, xbar))
-        h /= self.n
+        _, w, s0 = self._risk_sums(eta)
+        x_ord = self.dataset.covariates[self.cache.order]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weighted = x_ord * w[:, None]
+            xbar = weighted.cumsum(axis=0)[self._risk_last] / s0[:, None]
+            weighted *= self._risk_coefficients(s0)[:, None]
+            h = (weighted.T @ x_ord - (xbar * self._d[:, None]).T @ xbar) / self.n
         if not np.all(np.isfinite(h)):
             self._raise_nonfinite("hessian", beta)
         return h

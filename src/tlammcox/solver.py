@@ -13,7 +13,8 @@ fixed points solve the folded-concave problem.
 Every stage after stage 1 also stops once the iterate's support reaches
 the number of events: past that point the partial likelihood can flatten
 along a diverging direction (monotone likelihood), so further steps buy
-nothing. Each fit reports how its last stage ended in `FitResult.status`.
+nothing. Each fit reports how it ended in `FitResult.status`: converged
+only when every stage converged.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class FitResult:
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
     converged: tuple                  # (stage1, stage2)
-    # how the last stage ended: "converged", "max_iter" (step or stage
-    # cap), "saturated" (support >= events) or "stalled" (zero step with
+    # how the fit ended: "converged" when every stage converged, else the
+    # exit of the last stage that did not: "max_iter" (step or stage cap),
+    # "saturated" (support >= events) or "stalled" (zero step with
     # omega > eps)
     status: str
     seconds: float = 0.0
@@ -108,15 +110,16 @@ def omega(grad, beta, lam) -> float:
 
     Coordinate-wise closed form: |g_j + lam sign(b_j)| where b_j != 0 and
     max(|g_j| - lam, 0) where b_j = 0. lam may be a vector of per-
-    coordinate weights.
+    coordinate weights. The zero-coordinate form is taken everywhere, then
+    the support entries are overwritten.
     """
     grad = np.asarray(grad, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    zero = beta == 0.0
-    per = np.where(zero,
-                   np.maximum(np.abs(grad) - lam, 0.0),
-                   np.abs(grad + lam * np.sign(beta)))
+    per = np.maximum(np.abs(grad) - lam, 0.0)
+    support = (beta != 0.0).nonzero()
+    lam_s = lam[support] if lam.ndim else lam
+    per[support] = np.abs(grad[support] + lam_s * np.sign(beta[support]))
     return float(per.max()) if per.size else 0.0
 
 
@@ -272,12 +275,14 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi1 = stage1_lasso(objective, spec.lam, config)
+    status = _exit_status(objective, b1, k1, ok1, 1, trace)
     b2, k2, ok2, tr2, _ = stage2(objective, spec, config, init=b1, phi_init=phi1)
+    if not ok2:
+        status = _exit_status(objective, b2, k2, ok2, 2, tr2)
     trace.records.extend(tr2.records)
     return FitResult(beta=b2, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, k2), trace=trace, converged=(ok1, ok2),
-                     status=_exit_status(objective, b2, k2, ok2, 2, trace),
-                     seconds=time.perf_counter() - t0)
+                     status=status, seconds=time.perf_counter() - t0)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
@@ -291,6 +296,7 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi = stage1_lasso(objective, spec.lam, config)
+    status = _exit_status(objective, b1, k1, ok1, 1, trace)
     b_prev = b1
     total_steps = 0
     ok_tighten = True
@@ -301,7 +307,8 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
                                             trace=trace, phi_init=phi)
         total_steps += steps
         ok_tighten = ok_tighten and ok
-        status = _exit_status(objective, b_next, steps, ok, ell, trace)
+        if not ok:    # a stage that converges keeps an earlier stage's exit
+            status = _exit_status(objective, b_next, steps, ok, ell, trace)
         gap = float(np.linalg.norm(b_next - b_prev))
         b_prev = b_next
         if status == "saturated" or gap <= config.eps2:

@@ -195,23 +195,47 @@ def test_gather_and_dense_eta_match_dense_reference(monkeypatch, support_size):
         assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
 
 
-def test_hessian_matches_explicit_risk_set_sums():
+def hessian_case(name):
+    """(dataset, beta) for the explicit risk-set reference below."""
     rng = np.random.default_rng(18)
+    if name == "oracle":
+        # the restricted Newton fit's shape: n=300 on a 10-column support
+        ds, beta_star = simulate_dataset(SimulationConfig(n=300, p=10, s=10, seed=4))
+        return ds, beta_star
     n, p = 40, 5
     times = rng.integers(1, 15, size=n).astype(float)   # many tied times
     status = (rng.uniform(size=n) > 0.3).astype(int)
     x = rng.standard_normal((n, p))
-    ds = SurvivalDataset(times, status, x)
     beta = 0.4 * rng.standard_normal(p)
-    w = np.exp(x @ beta)
-    expected = np.zeros((p, p))
-    for i in np.flatnonzero(status == 1):
+    if name == "censored_tail":
+        times = rng.uniform(1, 10, size=n)
+        status[times > np.quantile(times, 0.7)] = 0
+    elif name == "single_group":
+        status[:] = 0
+        status[times == times.min()] = 1
+        status[0], times[0] = 1, times.min()
+    elif name == "large_eta":
+        # eta spans about +-300, so only the max offset keeps exp finite
+        beta *= 300.0 / np.abs(x @ beta).max()
+    return SurvivalDataset(times, status, x), beta
+
+
+@pytest.mark.parametrize("name", ["ties", "oracle", "censored_tail",
+                                  "single_group", "large_eta"])
+def test_hessian_matches_explicit_risk_set_sums(name):
+    ds, beta = hessian_case(name)
+    times, x = ds.times, ds.covariates
+    eta = x @ beta
+    w = np.exp(eta - eta.max())
+    expected = np.zeros((ds.p, ds.p))
+    for i in np.flatnonzero(ds.status == 1):
         risk = times >= times[i]
         s0 = w[risk].sum()
         xbar = (w[risk] @ x[risk]) / s0
         s2 = (x[risk] * w[risk][:, None]).T @ x[risk]
         expected += s2 / s0 - np.outer(xbar, xbar)
-    assert_allclose(CoxObjective(ds).hessian(beta), expected / n, rtol=1e-12, atol=1e-15)
+    assert_allclose(CoxObjective(ds).hessian(beta), expected / ds.n,
+                    rtol=1e-12, atol=1e-15)
 
 
 def test_objective_holds_no_copy_of_covariates():

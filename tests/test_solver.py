@@ -59,6 +59,44 @@ def test_omega_matches_brute_force_grid():
         assert bf - w <= lam * (2 / 20) / 2 + 1e-12   # grid resolution
 
 
+def where_omega(grad, beta, lam):
+    """omega's np.where form over every coordinate, kept as the reference."""
+    grad = np.asarray(grad, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    zero = beta == 0.0
+    per = np.where(zero,
+                   np.maximum(np.abs(grad) - lam, 0.0),
+                   np.abs(grad + lam * np.sign(beta)))
+    return float(per.max()) if per.size else 0.0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_omega_bitwise_equal_to_where_formula(weighted):
+    rng = np.random.default_rng(21)
+    assert omega(np.empty(0), np.empty(0), 0.3) == where_omega(
+        np.empty(0), np.empty(0), 0.3) == 0.0
+    assert omega(np.empty(0), np.empty(0), np.empty(0)) == 0.0
+    for trial in range(200):
+        p = int(rng.integers(1, 60))
+        lam = rng.uniform(0.05, 0.5, size=p) if weighted else 0.3
+        lam_vec = np.broadcast_to(lam, (p,))
+        beta = rng.standard_normal(p)
+        beta[rng.uniform(size=p) < 0.5] = 0.0
+        picks = rng.integers(0, p, size=min(p, 6))
+        beta[picks] = rng.choice([0.0, -0.0, 1.0, -1.0], size=picks.size)
+        if trial == 0:
+            beta[:] = 0.0
+        grad = rng.standard_normal(p) * 0.4
+        # |g| exactly at the weight, with either sign, on and off the support
+        at = rng.uniform(size=p) < 0.3
+        grad[at] = rng.choice([-1.0, 1.0], size=at.sum()) * lam_vec[at]
+        assert omega(grad, beta, lam) == where_omega(grad, beta, lam)
+        for j in range(p):
+            one = (grad[j:j + 1], beta[j:j + 1], lam_vec[j:j + 1] if weighted else lam)
+            assert omega(*one) == where_omega(*one)
+
+
 def test_omega_weighted():
     w = omega(np.array([0.5, 0.4]), np.array([0.0, -1.0]),
               np.array([0.6, 0.4]))
@@ -273,6 +311,14 @@ def test_max_iter_flagged_not_raised():
     assert fit.iterations == (2, 2)
     fit = tlamm(ds, scad(0.08), SolverConfig(max_iter_stage=5))
     assert fit.iterations == (5, 5) and fit.status == "max_iter"
+    # an earlier capped stage decides the status when the last one converges
+    fit = ilamm(ds, scad(0.08), SolverConfig(max_iter_stage=2))
+    assert fit.converged == (False, False) and fit.status == "max_iter"
+    ds, _ = simulate_dataset(SimulationConfig(n=100, p=20, s=4, seed=20))
+    fit = tlamm(ds, scad(0.3 * math.sqrt(math.log(20) / 100)),
+                SolverConfig(max_iter_stage=8))
+    assert fit.converged == (False, True) and fit.iterations == (8, 7)
+    assert fit.status == "max_iter"
 
 
 def test_ilamm_stage_cap_clears_convergence_flag():
