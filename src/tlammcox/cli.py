@@ -28,8 +28,7 @@ from .diagnostics import lse_probe
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (ExperimentGrid, cross_validate, l2_error,
                          run_experiment, selection_metrics)
-from .penalties import (DEFAULT_MCP_GAMMA, DEFAULT_SCAD_A, PenaltySpec,
-                        shift_gradient)
+from .penalties import PenaltySpec, shift_gradient
 from .penalties import value as penalty_value
 from .solver import SolverConfig, ilamm, omega, tlamm
 
@@ -147,7 +146,7 @@ def _parse_solver(obj, where="solver"):
         return SolverConfig()
     fields = dataclasses.fields(SolverConfig)
     _require_keys(obj, {f.name for f in fields}, set(), where)
-    convert = {int: _int, float: _float, str: str}
+    convert = {int: _int, float: _float}
     return SolverConfig(**{f.name: _read(obj, f.name, convert[type(f.default)], where,
                                          f.default)
                            for f in fields})
@@ -294,7 +293,7 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
 
 def _parse_grid(obj, seed_override, solver_cfg, threads):
     allowed = {"n", "p", "designs", "methods", "reps", "seed", "s", "signal",
-               "censoring", "c_by_penalty", "tune", "scad_a", "mcp_gamma"}
+               "censoring", "c_by_penalty", "tune"}
     _require_keys(obj, allowed, {"n", "p", "methods", "reps"}, "grid")
     designs = _read(obj, "designs", _list_of(_parse_design), "grid", (Independent(),))
     methods = _read(obj, "methods", _list_of(str), "grid")
@@ -302,8 +301,6 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     c_by_penalty = _read(obj, "c_by_penalty", _float_map, "grid", {})
     s = _read(obj, "s", _int, "grid", 10)
     signal = _read(obj, "signal", _parse_signal, "grid", ConstantSignal(0.8))
-    scad_a = _read(obj, "scad_a", _float, "grid", DEFAULT_SCAD_A)
-    mcp_gamma = _read(obj, "mcp_gamma", _float, "grid", DEFAULT_MCP_GAMMA)
     # every value is read before the tuning CV, so a malformed one fails fast
     n_values = _read(obj, "n", _list_of(_int), "grid")
     p_values = _read(obj, "p", _list_of(_int), "grid")
@@ -321,14 +318,13 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
         tune_data, _ = simulate_dataset(sim)
         kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
         for kind in sorted(kinds - set(c_by_penalty)):
-            shape = {"lasso": float("nan"), "scad": scad_a, "mcp": mcp_gamma}[kind]
             cv = cross_validate(tune_data, kind, folds=folds, config=solver_cfg,
-                                seed=seed, shape=shape, threads=threads)
+                                seed=seed, threads=threads)
             c_by_penalty[kind] = cv.chosen_c
     return ExperimentGrid(n_values=n_values, p_values=p_values, designs=designs,
                           methods=methods, reps=reps, seed=seed,
                           c_by_penalty=c_by_penalty, s=s, signal=signal,
-                          censoring=censoring, scad_a=scad_a, mcp_gamma=mcp_gamma)
+                          censoring=censoring)
 
 
 def cmd_experiment(cfg, out_dir, seed_override, threads):

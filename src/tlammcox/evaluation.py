@@ -24,7 +24,7 @@ from .cox import CoxObjective, fit_restricted
 from .data import (ConstantSignal, Signal, SimulationConfig, SurvivalDataset,
                    simulate_dataset)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
-from .penalties import DEFAULT_MCP_GAMMA, DEFAULT_SCAD_A, PenaltySpec
+from .penalties import PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
 
 __all__ = ["SelectionMetrics", "CvResult", "ExperimentGrid",
@@ -225,8 +225,6 @@ class ExperimentGrid:
     s: int = 10
     signal: Signal = ConstantSignal(0.8)
     censoring: tuple = (2.0, 3.0)
-    scad_a: float = DEFAULT_SCAD_A
-    mcp_gamma: float = DEFAULT_MCP_GAMMA
 
     def __post_init__(self):
         for m in self.methods:
@@ -275,7 +273,6 @@ def _run_rep(args):
                            seed=_data_seed(grid.seed, design_idx, n, p, rep))
     dataset, beta_star = simulate_dataset(sim)
     true_support = np.flatnonzero(beta_star != 0)
-    shapes = {"lasso": float("nan"), "scad": grid.scad_a, "mcp": grid.mcp_gamma}
     rows = []
     for method in grid.methods:
         row = {"design": design.name, "penalty": method, "n": n, "p": p, "rep": rep}
@@ -290,7 +287,7 @@ def _run_rep(args):
             else:
                 kind = method_penalty_kind(method)
                 lam = grid.c_by_penalty[kind] * math.sqrt(math.log(p) / n)
-                spec = PenaltySpec(kind, lam, shapes[kind])
+                spec = PenaltySpec(kind, lam)
                 fit: FitResult = (tlamm if method.startswith(("lasso", "tlamm"))
                                   else ilamm)(dataset, spec, config)
                 beta, seconds, status = fit.beta, fit.seconds, fit.status

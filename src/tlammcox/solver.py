@@ -42,19 +42,17 @@ class SolverConfig:
     eps2: float = 0.002
     max_iter_stage: int = 2000
     max_phi: float = 1e12
-    stop_mode: str = "omega"        # "omega" | "stepnorm"
 
     def __post_init__(self):
+        # each test is written so that a NaN fails it
         if not self.gamma_u > 1:
             raise ConfigError("gamma_u must exceed 1")
-        if self.phi0 <= 0 or self.eps1 <= 0 or self.eps2 <= 0:
+        if not (self.phi0 > 0 and self.eps1 > 0 and self.eps2 > 0):
             raise ConfigError("phi0, eps1, eps2 must be positive")
-        if self.phi0 > self.max_phi:
+        if not self.phi0 <= self.max_phi:
             raise ConfigError("phi0 must not exceed max_phi")
-        if self.max_iter_stage < 1:
+        if not self.max_iter_stage >= 1:
             raise ConfigError("max_iter_stage must be positive")
-        if self.stop_mode not in ("omega", "stepnorm"):
-            raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +70,9 @@ class TraceRecord:
 @dataclass
 class SolverTrace:
     records: list = field(default_factory=list)
+    # why each stage stopped, one entry per `_lamm_loop` run in stage order:
+    # "converged", "saturated", "stalled" or "max_iter"
+    exits: list = field(default_factory=list)
 
     def stage_records(self, stage: int):
         return [r for r in self.records if r.stage == stage]
@@ -93,10 +94,8 @@ class FitResult:
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
     converged: tuple                  # (stage1, stage2)
-    # how the fit ended: "converged" when every stage converged, else the
-    # exit of the last stage that did not: "max_iter" (step or stage cap),
-    # "saturated" (support >= events) or "stalled" (zero step with
-    # omega > eps)
+    # how the fit ended: the last entry of trace.exits that is not
+    # "converged", else "converged"; I-LAMM out of stages gives "max_iter"
     status: str
     seconds: float = 0.0
 
@@ -159,18 +158,20 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
                stage: int, trace: SolverTrace, phi_init=None,
                shift: PenaltySpec | None = None):
     """One LAMM stage on loss + sum_j w_j |b_j| from init: appends one
-    TraceRecord per accepted step and returns (beta, steps, converged, phi).
+    TraceRecord per accepted step and the reason it stopped to trace.exits,
+    and returns (beta, steps, converged, phi).
 
     Stage 1 (the l1 relaxation), stage 2 and every I-LAMM stage are this
     routine. `weights` is lambda or a per-coordinate vector. The loss is
     `objective.nll`, plus the concave shift of the penalty `shift` when one
     is given (stage 2). The tolerance is eps1 in stage 1 and eps2 after it.
 
-    Under omega stopping the current iterate is tested before stepping, so
-    an init that is already eps-optimal is returned unchanged; stepnorm
-    mode (consecutive-iterate distance) always takes at least one step.
-    phi_init carries the accepted curvature across stages so a follow-on
-    stage continues exactly where a single longer run would be.
+    A stage converges once omega <= eps. The current iterate is tested
+    before stepping, so an init that is already eps-optimal is returned
+    unchanged. A zero step with omega > eps stops it as stalled, and
+    max_iter_stage steps as max_iter. phi_init carries the accepted
+    curvature across stages so a follow-on stage continues exactly where a
+    single longer run would be.
 
     Every stage after stage 1 stops, unconverged, once the support is at
     least the number of events: at the start, so a saturated init takes no
@@ -179,7 +180,6 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     and then leaves them.
     """
     eps = config.eps1 if stage == 1 else config.eps2
-    by_omega = config.stop_mode == "omega"
     saturation = objective.dataset.n_events if stage > 1 else None
 
     if np.ndim(weights):
@@ -195,18 +195,22 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
         def loss_fn(b):
             return objective.nll(b) + shift_value(shift, b)
 
+    def done(steps, why):
+        trace.exits.append(why)
+        return beta, steps, why == "converged", phi_prev
+
     beta = np.asarray(init, dtype=np.float64).copy()
     phi_prev = config.phi0 if phi_init is None else phi_init
     if saturation is not None and np.count_nonzero(beta) >= saturation:
-        return beta, 0, False, phi_prev
+        return done(0, "saturated")
     loss, grad = objective.value_and_gradient(beta)
     if shift is not None:
         loss += shift_value(shift, beta)
         grad = grad + shift_gradient(shift, beta)
     # omega of the accepted iterate is the next step's pre-step test, so
     # it is computed once per step plus once here
-    if by_omega and omega(grad, beta, weights) <= eps:
-        return beta, 0, True, phi_prev
+    if omega(grad, beta, weights) <= eps:
+        return done(0, "converged")
     for k in range(1, config.max_iter_stage + 1):
         beta, phi, loss, step_norm, gap = line_search(
             loss_fn, beta, loss, grad, phi_prev, weights, config)
@@ -222,28 +226,22 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             phi=phi, step_norm=step_norm, support=support,
             majorization_gap=gap))
         if saturation is not None and support >= saturation:
-            return beta, k, False, phi_prev
-        if (w if by_omega else step_norm) <= eps:
-            return beta, k, True, phi_prev
+            return done(k, "saturated")
+        if w <= eps:
+            return done(k, "converged")
         if step_norm == 0.0:
             # bitwise fixed point of the update map: below max_phi a zero
             # step is only reachable once omega sits at the float64 floor,
             # so no representable descent remains
-            return beta, k, w <= eps, phi_prev
-    return beta, config.max_iter_stage, False, phi_prev
+            return done(k, "stalled")
+    return done(config.max_iter_stage, "max_iter")
 
 
-def _exit_status(objective: CoxObjective, beta, steps, ok, stage,
-                 trace: SolverTrace) -> str:
-    """FitResult.status of one `_lamm_loop` run, read from its output in
-    the order the loop tests its exits."""
-    if ok:
-        return "converged"
-    if stage > 1 and np.count_nonzero(beta) >= objective.dataset.n_events:
-        return "saturated"
-    if steps and trace.records[-1].step_norm == 0.0:
-        return "stalled"
-    return "max_iter"
+def _fit_status(exits) -> str:
+    """FitResult.status from trace.exits: the last exit that is not
+    "converged", else "converged"."""
+    return next((why for why in reversed(exits) if why != "converged"),
+                "converged")
 
 
 def stage1_lasso(objective: CoxObjective, lam: float, config: SolverConfig):
@@ -275,14 +273,13 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi1 = stage1_lasso(objective, spec.lam, config)
-    status = _exit_status(objective, b1, k1, ok1, 1, trace)
     b2, k2, ok2, tr2, _ = stage2(objective, spec, config, init=b1, phi_init=phi1)
-    if not ok2:
-        status = _exit_status(objective, b2, k2, ok2, 2, tr2)
     trace.records.extend(tr2.records)
+    trace.exits.extend(tr2.exits)
     return FitResult(beta=b2, lam=spec.lam, stage1_beta=b1,
                      iterations=(k1, k2), trace=trace, converged=(ok1, ok2),
-                     status=status, seconds=time.perf_counter() - t0)
+                     status=_fit_status(trace.exits),
+                     seconds=time.perf_counter() - t0)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
@@ -291,12 +288,12 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     """Iterative weighted-l1 baseline: after the burn-in, repeatedly solve
     an adaptive Lasso whose weights are the penalty derivative at the
     previous stage's coefficients; stops early once consecutive stage
-    outputs are within eps2 in l2, or once a stage saturates; running out
-    of max_stages first clears converged[1] and gives status max_iter."""
+    outputs are within eps2 in l2, or once a stage saturates or stalls;
+    running out of max_stages first clears converged[1] and gives status
+    max_iter."""
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, k1, ok1, trace, phi = stage1_lasso(objective, spec.lam, config)
-    status = _exit_status(objective, b1, k1, ok1, 1, trace)
     b_prev = b1
     total_steps = 0
     ok_tighten = True
@@ -307,11 +304,12 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
                                             trace=trace, phi_init=phi)
         total_steps += steps
         ok_tighten = ok_tighten and ok
-        if not ok:    # a stage that converges keeps an earlier stage's exit
-            status = _exit_status(objective, b_next, steps, ok, ell, trace)
         gap = float(np.linalg.norm(b_next - b_prev))
         b_prev = b_next
-        if status == "saturated" or gap <= config.eps2:
+        # a stage stalled at the float floor leaves phi so large that the
+        # next stage's predicted decrease is below one ulp of the loss
+        if trace.exits[-1] in ("saturated", "stalled") or gap <= config.eps2:
+            status = _fit_status(trace.exits)
             break
     else:
         ok_tighten = False

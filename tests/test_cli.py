@@ -213,6 +213,15 @@ def test_exit_code_config_error(tmp_path):
      "grid.c_by_penalty"),
     ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": True},
      "config.r"),
+    # NaN, which json.load accepts, is not a valid solver setting
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"phi0": float("nan")},
+             "penalty": {"kind": "scad", "c": 0.65}}, "phi0"),
+    # keys of removed options
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"stop_mode": "omega"},
+             "penalty": {"kind": "scad", "c": 0.65}}, "unknown keys ['stop_mode']"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6},
+                             "scad_a": 3.7}}, "unknown keys ['scad_a']"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -190,8 +190,9 @@ def test_solver_config_validation():
         SolverConfig(phi0=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(phi0=2.0, max_phi=1.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(stop_mode="magic")
+    for name in ("phi0", "gamma_u", "eps1", "eps2", "max_phi", "max_iter_stage"):
+        with pytest.raises(ConfigError):
+            SolverConfig(**{name: float("nan")})
 
 
 def test_stage1_kkt_at_zero():
@@ -276,15 +277,16 @@ def test_trace_invariants_benchmark_fit():
             f_prev, phi_prev = r.objective, r.phi
 
 
-def test_stepnorm_stopping_soundness():
+def test_omega_bounded_by_step_norm():
+    # the proximal step's optimality condition bounds omega at each new
+    # iterate by the accepted curvature times the step length
     ds, _ = simulate_dataset(SimulationConfig(n=150, p=30, s=5, seed=13))
     obj = CoxObjective(ds)
-    lam = 0.1
-    cfg = SolverConfig(stop_mode="stepnorm", eps1=1e-3, eps2=1e-3)
-    beta, steps, ok, trace, _ = stage1_lasso(obj, lam, cfg)
-    assert ok and steps >= 1
-    last = trace.records[-1]
-    assert last.omega <= (1 + cfg.gamma_u) * last.phi * last.step_norm + 1e-12
+    cfg = SolverConfig(eps1=1e-3, eps2=1e-3)
+    beta, steps, ok, trace, _ = stage1_lasso(obj, 0.1, cfg)
+    assert ok and steps >= 1 and trace.exits == ["converged"]
+    for r in trace.records:
+        assert r.omega <= (1 + cfg.gamma_u) * r.phi * r.step_norm + 1e-12
 
 
 def test_float_floor_stall_is_flagged():
@@ -302,6 +304,14 @@ def test_float_floor_stall_is_flagged():
     last = fit.trace.records[-1]
     assert fit.status == "stalled" and not fit.converged[1]
     assert last.stage == 2 and last.step_norm == 0.0 and last.omega > 1e-14
+    # I-LAMM stops at a stalled stage: the next stage would start from a
+    # curvature so large that no trial below max_phi gives a representable
+    # decrease, and its line search would raise
+    ds, _ = simulate_dataset(SimulationConfig(n=60, p=6, s=3, seed=14))
+    fit = ilamm(ds, mcp(0.3 * math.sqrt(math.log(6) / 60)),
+                SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000))
+    assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
+    assert not fit.converged[1] and fit.trace.records[-1].step_norm == 0.0
 
 
 def test_max_iter_flagged_not_raised():
@@ -319,6 +329,7 @@ def test_max_iter_flagged_not_raised():
                 SolverConfig(max_iter_stage=8))
     assert fit.converged == (False, True) and fit.iterations == (8, 7)
     assert fit.status == "max_iter"
+    assert fit.trace.exits == ["max_iter", "converged"]
 
 
 def test_ilamm_stage_cap_clears_convergence_flag():
@@ -328,6 +339,7 @@ def test_ilamm_stage_cap_clears_convergence_flag():
     spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
     capped = ilamm(ds, spec, SolverConfig(), max_stages=2)
     assert capped.converged == (True, False) and capped.status == "max_iter"
+    assert capped.trace.exits == ["converged", "converged"]
     settled = ilamm(ds, spec, SolverConfig())
     assert settled.converged == (True, True) and settled.status == "converged"
 
@@ -344,6 +356,7 @@ def test_saturated_stage2_stops_at_first_saturated_record():
     fit = tlamm(ds, spec, SolverConfig())
     support = [r.support for r in fit.trace.stage_records(2)]
     assert fit.status == "saturated" and fit.converged[1] is False
+    assert fit.trace.exits == ["converged", "saturated"]
     assert np.count_nonzero(fit.stage1_beta) < ds.n_events
     assert fit.iterations[1] == len(support) > 1
     assert support[-1] >= ds.n_events > max(support[:-1])
