@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from .data import (Autoregressive, ConstantCorrelation, ConstantSignal,
 from .diagnostics import lse_probe
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (ExperimentGrid, cross_validate, l2_error,
-                         run_experiment, selection_metrics)
+                         run_experiment, scaled_lambda, selection_metrics)
 from .penalties import PenaltySpec, shift_gradient
 from .penalties import value as penalty_value
 from .solver import SolverConfig, ilamm, omega, tlamm
@@ -41,20 +40,14 @@ def _require_keys(obj, allowed, required, where):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
+    missing = {key for key in required if obj.get(key) is None}
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-_REQUIRED = object()
-
-
-def _read(obj, key, kind, where, default=_REQUIRED):
-    """obj[key] converted by kind; an optional key that is absent or null
-    gives default. A missing required key or a value kind rejects is a
-    ConfigError naming where.key."""
-    if obj.get(key) is None and default is not _REQUIRED:
-        return default
+def _read(obj, key, kind, where):
+    """obj[key] converted by kind; a missing key or a value kind rejects is
+    a ConfigError naming where.key."""
     if key not in obj:
         raise ConfigError(f"{where}: missing key {key!r}")
     try:
@@ -80,11 +73,15 @@ def _float(value):
     return float(value)
 
 
-def _seed(obj, seed_override, where, default=_REQUIRED):
-    """The --seed override when given, else obj["seed"]."""
+def _given(obj, kinds, where, seed_override=None):
+    """{key: kind(obj[key])} for each key of kinds that obj sets, so that a
+    key left absent or null takes the default of the signature it is passed
+    to; a --seed override replaces obj["seed"]."""
+    given = {key: _read(obj, key, kind, where) for key, kind in kinds.items()
+             if obj.get(key) is not None}
     if seed_override is not None:
-        return seed_override
-    return _read(obj, "seed", _int, where, default)
+        given["seed"] = seed_override
+    return given
 
 
 def _list_of(kind):
@@ -94,6 +91,11 @@ def _list_of(kind):
             raise TypeError("expected a list")
         return tuple(kind(v) for v in value)
     return convert
+
+
+def _window(value):
+    low, high = _list_of(_float)(value)       # a censoring window [low, high]
+    return low, high
 
 
 def _float_map(value):
@@ -119,37 +121,29 @@ def _parse_design(obj, where="design"):
 def _parse_signal(obj, where="signal"):
     _require_keys(obj, {"kind", "value", "values"}, {"kind"}, where)
     if obj["kind"] == "constant":
-        return ConstantSignal(_read(obj, "value", _float, where, 0.8))
+        return ConstantSignal(**_given(obj, {"value": _float}, where))
     if obj["kind"] == "decaying":
         return DecayingSignal(_read(obj, "values", _list_of(_float), where))
     raise ConfigError(f"{where}: unknown signal kind {obj['kind']!r}")
 
 
+# the simulation model, read alike by the simulate block and the grid
+_MODEL = {"s": _int, "signal": _parse_signal, "censoring": _window}
+
+
 def _parse_sim_config(obj, seed_override=None, where="simulate"):
-    _require_keys(obj, {"n", "p", "s", "signal", "design", "censoring", "seed"},
-                  {"n", "p", "s", "seed"}, where)
-    censoring = _read(obj, "censoring", _list_of(_float), where, (2.0, 3.0))
-    if len(censoring) != 2:
-        raise ConfigError(f"{where}: censoring must be [low, high]")
-    return SimulationConfig(
-        n=_read(obj, "n", _int, where), p=_read(obj, "p", _int, where),
-        s=_read(obj, "s", _int, where),
-        signal=_read(obj, "signal", _parse_signal, where, ConstantSignal(0.8)),
-        design=_read(obj, "design", _parse_design, where, Independent()),
-        censoring_low=censoring[0], censoring_high=censoring[1],
-        seed=_seed(obj, seed_override, where))
+    kinds = {"n": _int, "p": _int, **_MODEL, "design": _parse_design, "seed": _int}
+    _require_keys(obj, kinds, {"n", "p", "s", "seed"}, where)
+    return SimulationConfig(**_given(obj, kinds, where, seed_override))
 
 
 def _parse_solver(obj, where="solver"):
-    """SolverConfig from the keys, value types and defaults of its fields."""
-    if obj is None:
-        return SolverConfig()
-    fields = dataclasses.fields(SolverConfig)
-    _require_keys(obj, {f.name for f in fields}, set(), where)
-    convert = {int: _int, float: _float}
-    return SolverConfig(**{f.name: _read(obj, f.name, convert[type(f.default)], where,
-                                         f.default)
-                           for f in fields})
+    """SolverConfig from the keys and value types of its fields."""
+    obj = {} if obj is None else obj
+    kinds = {f.name: {int: _int, float: _float}[type(f.default)]
+             for f in dataclasses.fields(SolverConfig)}
+    _require_keys(obj, kinds, set(), where)
+    return SolverConfig(**_given(obj, kinds, where))
 
 
 def _parse_penalty(obj, n, p, where="penalty"):
@@ -160,18 +154,18 @@ def _parse_penalty(obj, n, p, where="penalty"):
     if ("lambda" in obj) == ("c" in obj):
         raise ConfigError(f"{where}: give exactly one of lambda or c")
     lam = _read(obj, "lambda", _float, where) if "lambda" in obj else \
-        _read(obj, "c", _float, where) * math.sqrt(math.log(p) / n)
-    return PenaltySpec(kind, lam, _read_shape(obj, kind, where))
+        scaled_lambda(_read(obj, "c", _float, where), n, p)
+    return PenaltySpec(kind, lam, **_read_shape(obj, kind, where))
 
 
 def _read_shape(obj, kind, where):
-    """SCAD's a or MCP's gamma (NaN takes the default); the shape key of
-    another kind is a ConfigError."""
+    """{"shape": SCAD's a or MCP's gamma} when obj sets it, else {}; the
+    shape key of another kind is a ConfigError."""
     key = {"scad": "a", "mcp": "gamma"}.get(kind)
     for other in ("a", "gamma"):
         if other != key and obj.get(other) is not None:
             raise ConfigError(f"{where}.{other}: not a shape of the {kind} penalty")
-    return float("nan") if key is None else _read(obj, key, _float, where, float("nan"))
+    return {"shape": value for value in _given(obj, {key: _float}, where).values()}
 
 
 def _load_data(obj, seed_override=None, where="data"):
@@ -181,16 +175,25 @@ def _load_data(obj, seed_override=None, where="data"):
         raise ConfigError(f"{where}: give exactly one of csv or simulate")
     if "csv" in obj:
         dataset = load_csv(obj["csv"])
-        truth = None
         sidecar = truth_sidecar_path(obj["csv"])
-        if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            truth = np.asarray(payload["true_beta"], dtype=np.float64)
+        truth = _read_truth(sidecar, dataset.p) if os.path.exists(sidecar) else None
         return dataset, truth
     sim = _parse_sim_config(obj["simulate"], seed_override)
     dataset, beta = simulate_dataset(sim)
     return dataset, beta
+
+
+def _read_truth(path, p):
+    """true_beta of a truth sidecar, which must be JSON holding p numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            truth = np.asarray(json.load(fh)["true_beta"], dtype=np.float64)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"truth sidecar {path}: unreadable ({exc!r})") from exc
+    if truth.shape != (p,):
+        raise DataError(f"truth sidecar {path}: true_beta has shape {truth.shape}, "
+                        f"expected ({p},) for the data's p")
+    return truth
 
 
 def _read_config(path):
@@ -222,10 +225,11 @@ def cmd_simulate(cfg, out_dir, seed_override, threads):
 def cmd_fit(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"data", "algorithm", "penalty", "solver", "seed"},
                   {"data", "penalty"}, "config")
-    dataset, truth = _load_data(cfg["data"], _seed(cfg, seed_override, "config", None))
+    seed = _given(cfg, {"seed": _int}, "config", seed_override).get("seed")
+    dataset, truth = _load_data(cfg["data"], seed)
     solver_cfg = _parse_solver(cfg.get("solver"))
     spec = _parse_penalty(cfg["penalty"], dataset.n, dataset.p)
-    algorithm = cfg.get("algorithm", "tlamm")
+    algorithm = _given(cfg, {"algorithm": str}, "config").get("algorithm", "tlamm")
     if algorithm not in ("tlamm", "ilamm"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     fit = (tlamm if algorithm == "tlamm" else ilamm)(dataset, spec, solver_cfg)
@@ -268,13 +272,11 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
                   {"data", "penalty_kind"}, "config")
     dataset, _ = _load_data(cfg["data"])
     kind = _read(cfg, "penalty_kind", str, "config")
-    shape = _read_shape(cfg, kind, "config")
     result = cross_validate(
-        dataset, kind, folds=_read(cfg, "folds", _int, "config", 3),
-        c_grid=_read(cfg, "c_grid", _list_of(_float), "config", None),
-        config=_parse_solver(cfg.get("solver")),
-        seed=_seed(cfg, seed_override, "config", 0),
-        shape=shape, threads=threads)
+        dataset, kind, config=_parse_solver(cfg.get("solver")), threads=threads,
+        **_read_shape(cfg, kind, "config"),
+        **_given(cfg, {"folds": _int, "c_grid": _list_of(_float), "seed": _int},
+                 "config", seed_override))
     with open(os.path.join(out_dir, "cv.csv"), "w", encoding="utf-8") as fh:
         fh.write("c,criterion\n")
         for c, crit in zip(result.c_grid, result.criteria):
@@ -295,42 +297,37 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
     allowed = {"n", "p", "designs", "methods", "reps", "seed", "s", "signal",
                "censoring", "c_by_penalty", "tune"}
     _require_keys(obj, allowed, {"n", "p", "methods", "reps"}, "grid")
-    designs = _read(obj, "designs", _list_of(_parse_design), "grid", (Independent(),))
+    # every value is read before the tuning CV, so a malformed one fails
+    # fast; the methods and the c it tunes join the grid after it
     methods = _read(obj, "methods", _list_of(str), "grid")
-    seed = _seed(obj, seed_override, "grid", 0)
-    c_by_penalty = _read(obj, "c_by_penalty", _float_map, "grid", {})
-    s = _read(obj, "s", _int, "grid", 10)
-    signal = _read(obj, "signal", _parse_signal, "grid", ConstantSignal(0.8))
-    # every value is read before the tuning CV, so a malformed one fails fast
-    n_values = _read(obj, "n", _list_of(_int), "grid")
-    p_values = _read(obj, "p", _list_of(_int), "grid")
-    reps = _read(obj, "reps", _int, "grid")
-    censoring = _read(obj, "censoring", _list_of(_float), "grid", (2.0, 3.0))
-    if "tune" in obj:
-        tune = obj["tune"]
-        _require_keys(tune, {"n", "p", "folds", "seed", "design"}, set(), "grid.tune")
-        sim = SimulationConfig(
-            n=_read(tune, "n", _int, "grid.tune", 200),
-            p=_read(tune, "p", _int, "grid.tune", 100), s=s, signal=signal,
-            design=_read(tune, "design", _parse_design, "grid.tune", Independent()),
-            seed=_read(tune, "seed", _int, "grid.tune", seed))
-        folds = _read(tune, "folds", _int, "grid.tune", 3)
-        tune_data, _ = simulate_dataset(sim)
-        kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
+    kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
+    grid = ExperimentGrid(
+        n_values=_read(obj, "n", _list_of(_int), "grid"),
+        p_values=_read(obj, "p", _list_of(_int), "grid"),
+        methods=(), reps=_read(obj, "reps", _int, "grid"),
+        **_given(obj, {**_MODEL, "designs": _list_of(_parse_design), "seed": _int,
+                       "c_by_penalty": _float_map}, "grid", seed_override))
+    c_by_penalty = dict(grid.c_by_penalty)
+    tune = obj.get("tune")
+    if tune is not None:
+        tune_keys = {"design": _parse_design, "n": _int, "p": _int, "seed": _int}
+        _require_keys(tune, {*tune_keys, "folds"}, set(), "grid.tune")
+        tune_data, _ = simulate_dataset(grid.simulation(**{
+            "design": Independent(), "n": 200, "p": 100, "seed": grid.seed,
+            **_given(tune, tune_keys, "grid.tune")}))
+        folds = _given(tune, {"folds": _int}, "grid.tune")
         for kind in sorted(kinds - set(c_by_penalty)):
-            cv = cross_validate(tune_data, kind, folds=folds, config=solver_cfg,
-                                seed=seed, threads=threads)
-            c_by_penalty[kind] = cv.chosen_c
-    return ExperimentGrid(n_values=n_values, p_values=p_values, designs=designs,
-                          methods=methods, reps=reps, seed=seed,
-                          c_by_penalty=c_by_penalty, s=s, signal=signal,
-                          censoring=censoring)
+            c_by_penalty[kind] = cross_validate(tune_data, kind, config=solver_cfg,
+                                                seed=grid.seed, threads=threads,
+                                                **folds).chosen_c
+    return dataclasses.replace(grid, methods=methods, c_by_penalty=c_by_penalty)
 
 
 def cmd_experiment(cfg, out_dir, seed_override, threads):
     _require_keys(cfg, {"grid", "solver", "seed"}, {"grid"}, "config")
     solver_cfg = _parse_solver(cfg.get("solver"))
-    grid = _parse_grid(cfg["grid"], _seed(cfg, seed_override, "config", None),
+    grid = _parse_grid(cfg["grid"],
+                       _given(cfg, {"seed": _int}, "config", seed_override).get("seed"),
                        solver_cfg, threads)
     result = run_experiment(grid, solver_cfg, threads=threads,
                             out_csv=os.path.join(out_dir, "results.csv"))
@@ -353,16 +350,17 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
 
 
 def cmd_diagnose(cfg, out_dir, seed_override, threads):
-    _require_keys(cfg, {"data", "beta_star", "m", "r", "n_beta_samples", "seed"},
-                  {"data", "m", "r"}, "config")
+    kinds = {"m": _int, "r": _float, "n_beta_samples": _int, "seed": _int}
+    _require_keys(cfg, {"data", "beta_star", *kinds}, {"data", "m", "r"}, "config")
     dataset, truth = _load_data(cfg["data"])
-    beta_star = _read(cfg, "beta_star", _list_of(_float), "config", truth)
+    beta_star = _given(cfg, {"beta_star": _list_of(_float)}, "config").get("beta_star", truth)
     if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
+    if len(beta_star) != dataset.p:
+        raise ConfigError(f"config.beta_star: {len(beta_star)} values, expected "
+                          f"p={dataset.p}")
     report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64),
-                       m=_read(cfg, "m", _int, "config"), r=_read(cfg, "r", _float, "config"),
-                       n_beta_samples=_read(cfg, "n_beta_samples", _int, "config", 0),
-                       seed=_seed(cfg, seed_override, "config", 0))
+                       **_given(cfg, kinds, "config", seed_override))
     _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())
     return 0
 

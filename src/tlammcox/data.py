@@ -62,7 +62,7 @@ Design = Union[Independent, ConstantCorrelation, Autoregressive]
 
 @dataclass(frozen=True)
 class ConstantSignal:
-    value: float
+    value: float = 0.8
 
 
 @dataclass(frozen=True)
@@ -183,24 +183,30 @@ def censoring_rate(dataset: SurvivalDataset) -> float:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """A model field left None takes the benchmark protocol's value: s =
+    min(10, p), ConstantSignal() and the censoring window U[2, 3]."""
+
     n: int
     p: int
-    s: int
-    signal: Signal = ConstantSignal(0.8)
+    s: int = None
+    signal: Signal = None
     design: Design = Independent()
-    censoring_low: float = 2.0
-    censoring_high: float = 3.0
+    censoring: tuple = None       # (low, high)
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ConfigError("n and p must be positive")
+        for key, value in (("s", min(10, self.p)), ("signal", ConstantSignal()),
+                           ("censoring", (2.0, 3.0))):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if not (1 <= self.s <= self.p):
             raise ConfigError(f"support size s={self.s} must satisfy 1 <= s <= p={self.p}")
         if isinstance(self.signal, DecayingSignal) and len(self.signal.values) != self.s:
             raise ConfigError("decaying signal must supply exactly s values")
-        if not self.censoring_low < self.censoring_high:
-            raise ConfigError("censoring window must satisfy low < high")
+        if len(self.censoring) != 2 or not self.censoring[0] < self.censoring[1]:
+            raise ConfigError("censoring window must be (low, high) with low < high")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
         _check_rho(self.design)
@@ -255,7 +261,7 @@ def simulate_dataset(config: SimulationConfig):
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 1]))
     eta = x @ beta
     t_fail = rng.exponential(scale=np.exp(-eta))
-    u = rng.uniform(config.censoring_low, config.censoring_high, size=config.n)
+    u = rng.uniform(*config.censoring, size=config.n)
     t_cens = rng.exponential(scale=u * np.exp(eta))
     times = np.minimum(t_fail, t_cens)
     status = (t_fail <= t_cens).astype(np.int8)

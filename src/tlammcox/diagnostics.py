@@ -115,17 +115,20 @@ def grad_check(dataset: SurvivalDataset, beta, h: float = 1e-5,
 
 
 def gradient_sup_norm_scaling(reps: int, n: int, p_list, seed: int = 0,
-                              s: int = 10, signal: float = 0.8,
+                              s: int = None, signal: float = None,
                               design: Design = Independent()):
     """Median ||grad at the generating coefficients||_inf per p, for
-    eyeballing the sqrt(log p / n) rate."""
+    eyeballing the sqrt(log p / n) rate. s (clamped to p) and the constant
+    signal default to SimulationConfig's model."""
     out = []
     for pi, p in enumerate(p_list):
         norms = []
         for rep in range(reps):
             ss = np.random.SeedSequence([int(seed), pi, rep])
-            cfg = SimulationConfig(n=n, p=int(p), s=max(1, min(s, int(p))),
-                                   signal=ConstantSignal(signal), design=design,
+            cfg = SimulationConfig(n=n, p=int(p),
+                                   s=None if s is None else max(1, min(s, int(p))),
+                                   signal=None if signal is None else ConstantSignal(signal),
+                                   design=design,
                                    seed=int(ss.generate_state(1, np.uint64)[0]))
             dataset, beta_star = simulate_dataset(cfg)
             g = CoxObjective(dataset).gradient(beta_star)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cox import CoxObjective, fit_restricted
-from .data import (ConstantSignal, Signal, SimulationConfig, SurvivalDataset,
+from .data import (Independent, Signal, SimulationConfig, SurvivalDataset,
                    simulate_dataset)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
 from .penalties import PenaltySpec
@@ -30,15 +30,24 @@ from .solver import FitResult, SolverConfig, ilamm, tlamm
 __all__ = ["SelectionMetrics", "CvResult", "ExperimentGrid",
            "ExperimentResult", "l2_error", "selection_metrics",
            "concordance_index", "cross_validate", "run_experiment",
-           "default_c_grid", "EXPERIMENT_CSV_HEADER"]
+           "default_c_grid", "scaled_lambda", "EXPERIMENT_CSV_HEADER"]
 
 CV_CRITERION_NAME = "held_out_partial_likelihood_deviance"
-EXPERIMENT_CSV_HEADER = "design,penalty,n,p,rep,l2,tp,fp,sens,spec,iters1,iters2,seconds"
 METHODS = ("oracle", "lasso", "tlamm-scad", "tlamm-mcp", "ilamm-scad", "ilamm-mcp")
+# per-unit metrics: results.csv columns after the unit's keys, and the keys
+# of each cell median
+_METRICS = ("l2", "tp", "fp", "sens", "spec", "iters1", "iters2", "seconds")
+_ROW_KEYS = ("design", "penalty", "n", "p", "rep") + _METRICS
+EXPERIMENT_CSV_HEADER = ",".join(_ROW_KEYS)
 
 
 def default_c_grid():
     return [0.05 * k for k in range(1, 21)]
+
+
+def scaled_lambda(c: float, n: int, p: int) -> float:
+    """The penalty level lambda = c sqrt(log p / n) of scale c."""
+    return c * math.sqrt(math.log(p) / n)
 
 
 # ----------------------------------------------------------------- metrics
@@ -187,7 +196,7 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
 
     tasks = []
     for c in c_grid:
-        lam = c * math.sqrt(math.log(dataset.p) / dataset.n)
+        lam = scaled_lambda(c, dataset.n, dataset.p)
         for train in trains:
             tasks.append((train, PenaltySpec(penalty_kind, lam, shape), config))
     fits = iter(list(_pmap(_cv_fit_task, tasks, threads)))
@@ -205,36 +214,41 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
     best = min(range(len(c_grid)),
                key=lambda i: ("saturated" in statuses[i], criteria[i]))
     chosen_c = c_grid[best]
-    chosen_lambda = chosen_c * math.sqrt(math.log(dataset.p) / dataset.n)
     return CvResult(c_grid=tuple(c_grid), criteria=tuple(criteria),
                     statuses=tuple(statuses), chosen_c=chosen_c,
-                    chosen_lambda=chosen_lambda, fold_seed=fold_seed)
+                    chosen_lambda=scaled_lambda(chosen_c, dataset.n, dataset.p),
+                    fold_seed=fold_seed)
 
 
 # -------------------------------------------------------------------- grid
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentGrid:
     n_values: tuple
     p_values: tuple
-    designs: tuple
+    designs: tuple = (Independent(),)
     methods: tuple
     reps: int
-    seed: int
-    c_by_penalty: dict
-    s: int = 10
-    signal: Signal = ConstantSignal(0.8)
-    censoring: tuple = (2.0, 3.0)
+    seed: int = 0
+    c_by_penalty: dict = field(default_factory=dict)
+    # the simulation model; None takes SimulationConfig's default
+    s: int = None
+    signal: Signal = None
+    censoring: tuple = None
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
             kind = method_penalty_kind(m)
             if kind is not None and kind not in self.c_by_penalty:
                 raise ConfigError(f"method {m!r} needs c_by_penalty[{kind!r}]")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
+
+    def simulation(self, design, n: int, p: int, seed: int) -> SimulationConfig:
+        """One dataset's SimulationConfig under the grid's model, s clamped to p."""
+        return SimulationConfig(n=n, p=p, s=None if self.s is None else min(self.s, p),
+                                signal=self.signal, design=design,
+                                censoring=self.censoring, seed=seed)
 
 
 @dataclass
@@ -249,11 +263,9 @@ class ExperimentResult:
 
 
 def method_penalty_kind(method: str):
-    if method == "oracle":
-        return None
-    if method == "lasso":
-        return "lasso"
-    return method.split("-", 1)[1]
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    return None if method == "oracle" else method.split("-")[-1]
 
 
 def _data_seed(master_seed, design_idx, n, p, rep) -> int:
@@ -266,12 +278,8 @@ def _run_rep(args):
     score every method on it in grid order. Returns one row dict per
     method."""
     (grid, config, design_idx, design, n, p, rep) = args
-    sim = SimulationConfig(n=n, p=p, s=min(grid.s, p), signal=grid.signal,
-                           design=design,
-                           censoring_low=grid.censoring[0],
-                           censoring_high=grid.censoring[1],
-                           seed=_data_seed(grid.seed, design_idx, n, p, rep))
-    dataset, beta_star = simulate_dataset(sim)
+    dataset, beta_star = simulate_dataset(
+        grid.simulation(design, n, p, _data_seed(grid.seed, design_idx, n, p, rep)))
     true_support = np.flatnonzero(beta_star != 0)
     rows = []
     for method in grid.methods:
@@ -286,8 +294,7 @@ def _run_rep(args):
                 status = "converged"      # fit_restricted raises otherwise
             else:
                 kind = method_penalty_kind(method)
-                lam = grid.c_by_penalty[kind] * math.sqrt(math.log(p) / n)
-                spec = PenaltySpec(kind, lam)
+                spec = PenaltySpec(kind, scaled_lambda(grid.c_by_penalty[kind], n, p))
                 fit: FitResult = (tlamm if method.startswith(("lasso", "tlamm"))
                                   else ilamm)(dataset, spec, config)
                 beta, seconds, status = fit.beta, fit.seconds, fit.status
@@ -304,23 +311,17 @@ def _run_rep(args):
 
 def _pmap(fn, tasks, threads):
     """fn over tasks, results yielded in task order as they are ready; a
-    process pool of `threads` workers when threads > 1."""
+    process pool of min(threads, len(tasks)) workers when both exceed 1."""
     if threads <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         yield from pool.map(fn, tasks, chunksize=1)
 
 
 def format_row(row) -> str:
-    vals = [row["design"], row["penalty"], row["n"], row["p"], row["rep"]]
-    if "error" in row:
-        vals += ["nan"] * 8
-    else:
-        vals += [repr(float(row["l2"])), row["tp"], row["fp"],
-                 repr(float(row["sens"])), repr(float(row["spec"])),
-                 row["iters1"], row["iters2"], repr(float(row["seconds"]))]
-    return ",".join(str(v) for v in vals)
+    """One results.csv line; a failed unit has no metrics and reads nan."""
+    return ",".join(str(row.get(key, "nan")) for key in _ROW_KEYS)
 
 
 def run_experiment(grid: ExperimentGrid,
@@ -366,8 +367,7 @@ def run_experiment(grid: ExperimentGrid,
                      and r["n"] == n and r["p"] == p and "error" not in r]
         med = {}
         if cell_rows:
-            for key in ("l2", "tp", "fp", "sens", "spec", "iters1", "iters2",
-                        "seconds"):
+            for key in _METRICS:
                 med[key] = float(np.median([r[key] for r in cell_rows]))
         medians.append({"design": design.name, "method": method, "n": n,
                         "p": p, "reps_ok": len(cell_rows),

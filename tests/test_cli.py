@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tlammcox import CoxObjective, load_csv, omega
+from tlammcox import CoxObjective, DataError, SimulationConfig, cli, load_csv, omega
 from tlammcox.cli import main
+from tlammcox.data import ConstantSignal
 
 
 def write_config(tmp_path, name, payload):
@@ -222,6 +223,19 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
                              "scad_a": 3.7}}, "unknown keys ['scad_a']"),
+    # the grid reads its censoring window as the simulate block does
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6},
+                             "censoring": [1.0]}}, "grid.censoring"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6},
+                             "censoring": [2, 3, 99]}}, "grid.censoring"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
+                  "beta_star": [0.8, 0.8]}, "config.beta_star"),
+    # methods are checked before the tuning CV
+    ("experiment", {"grid": {"n": [30], "p": [10], "s": 3, "methods": ["magic"],
+                             "reps": 1, "tune": {"n": 40, "p": 5}}},
+     "unknown method 'magic'"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -256,6 +270,22 @@ def test_foreign_penalty_shape_key_exits_2(tmp_path, capsys, command, kind,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("sidecar", ['{"true_beta": [0.8', '{"seed": 42}',
+                                     '{"true_beta": [0.8, 0.8, 0.8]}'],
+                         ids=["invalid-json", "no-true-beta", "wrong-length"])
+def test_bad_truth_sidecar_is_a_data_error_before_the_fit(tmp_path, capsys, sim_out,
+                                                           sidecar):
+    (sim_out / "dataset.truth.json").write_text(sidecar)
+    cfg = write_config(tmp_path, "fit.json", {
+        "data": {"csv": str(sim_out / "dataset.csv")},
+        "penalty": {"kind": "scad", "c": 0.65}})
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "dataset.truth.json" in err
+    assert not (out / "beta.csv").exists()
 
 
 def test_exit_code_data_error(tmp_path):
@@ -317,3 +347,88 @@ def test_experiment_tune_block(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "scad" in summary["c_by_penalty"]
     assert 0.05 <= summary["c_by_penalty"]["scad"] <= 1.0
+
+
+def test_tune_dataset_uses_the_grid_model(tmp_path, monkeypatch):
+    built = []
+
+    def capture(config):
+        built.append(config)
+        raise DataError("captured")
+
+    monkeypatch.setattr(cli, "simulate_dataset", capture)
+    payload = {"grid": {"n": [80], "p": [12], "methods": ["tlamm-scad"], "reps": 1,
+                        "seed": 7, "s": 9, "signal": {"kind": "constant", "value": 0.6},
+                        "censoring": [1.5, 2.5], "tune": {"n": 60, "p": 8, "seed": 3}}}
+    cfg = write_config(tmp_path, "tune.json", payload)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "t")]) == 3
+    # s is clamped to the tune p, as in every grid cell
+    assert built == [SimulationConfig(n=60, p=8, s=8, signal=ConstantSignal(0.6),
+                                      censoring=(1.5, 2.5), seed=3)]
+
+
+def _optional(mode, **defaults):
+    """Optional config keys left out, set to null, or spelled out at their
+    defaults."""
+    if mode == "omit":
+        return {}
+    return {key: None if mode == "null" else value for key, value in defaults.items()}
+
+
+def _defaults_config(command, mode):
+    sim = {"n": 60, "p": 8, "s": 3, "seed": 42, **_optional(
+        mode, signal={"kind": "constant", "value": 0.8},
+        design={"kind": "independent"}, censoring=[2, 3])}
+    solver = _optional(mode, solver={"phi0": 0.1, "gamma_u": 2.0, "eps1": 0.002,
+                                     "eps2": 0.002, "max_iter_stage": 2000,
+                                     "max_phi": 1e12})
+    null_only = {"seed": None} if mode == "null" else {}
+    if command == "simulate":
+        return sim
+    if command == "fit":
+        return {"data": {"simulate": sim}, **solver, **null_only,
+                "penalty": {"kind": "scad", "c": 0.65, **_optional(mode, a=3.7)},
+                **_optional(mode, algorithm="tlamm")}
+    if command == "cv":
+        return {"data": {"simulate": sim}, "penalty_kind": "mcp", **solver,
+                **_optional(mode, gamma=3.0, folds=3, seed=0,
+                            c_grid=[0.05 * k for k in range(1, 21)])}
+    if command == "experiment":
+        return {**solver, **null_only, "grid": {
+            "n": [60], "p": [8], "methods": ["oracle", "tlamm-scad"], "reps": 1,
+            "c_by_penalty": {"scad": 0.6},
+            **({"tune": None} if mode == "null" else {}),
+            **_optional(mode, designs=[{"kind": "independent"}], seed=0, s=10,
+                        signal={"kind": "constant", "value": 0.8}, censoring=[2, 3])}}
+    return {"data": {"simulate": sim}, "m": 2, "r": 0.3,
+            **_optional(mode, n_beta_samples=0, seed=0, beta_star=[0.8] * 3 + [0.0] * 5)}
+
+
+def _without_wall_clock(path):
+    if path.name == "results.csv":
+        return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+    if path.name == "summary.json":
+        summary = json.loads(path.read_text())
+        summary.pop("wall_seconds", None)
+        for cell in summary.get("cells", []):
+            cell["median"].pop("seconds", None)
+        return summary
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("simulate", ["dataset.csv", "dataset.truth.json"]),
+    ("fit", ["beta.csv", "trace.csv", "summary.json"]),
+    ("cv", ["cv.csv", "summary.json"]),
+    ("experiment", ["results.csv", "summary.json"]),
+    ("diagnose", ["lse.json"]),
+])
+def test_optional_keys_absent_null_or_spelled_out_give_same_outputs(tmp_path, command,
+                                                                    outputs):
+    got = {}
+    for mode in ("omit", "null", "explicit"):
+        cfg = write_config(tmp_path, f"{mode}.json", _defaults_config(command, mode))
+        out = tmp_path / mode
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        got[mode] = [_without_wall_clock(out / name) for name in outputs]
+    assert got["omit"] == got["null"] == got["explicit"]

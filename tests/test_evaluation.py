@@ -356,3 +356,27 @@ def test_lasso_overselects_at_benchmark_scale():
     tp = float(np.median([r["tp"] for r in res.rows]))
     assert tp == 10
     assert 50 <= fp <= 250
+
+
+def test_pmap_starts_at_most_one_worker_per_task(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    assert list(evaluation._pmap(abs, [-1, -2], 64)) == [1, 2]
+    assert list(evaluation._pmap(abs, [-1, -2, -3], 2)) == [1, 2, 3]
+    assert started == [2, 2]
