@@ -10,6 +10,7 @@ sample-wide max of eta before accumulation.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -25,41 +26,90 @@ HESSIAN_P_CAP = 500
 # (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
 _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
+# dataset -> _prepare's tuple; an entry is freed with its dataset and, being
+# module state, never travels with a dataset pickled into a pool task
+_PREPARED = weakref.WeakKeyDictionary()
+
+
+def _prepare(dataset):
+    """(risk cache, event-row covariate sum, tie counts as floats, prefix
+    end of each group's risk set) of `dataset`, computed on first use and
+    kept until the dataset is freed; the arrays are read-only."""
+    prepared = _PREPARED.get(dataset)
+    if prepared is None:
+        cache = build_risk_cache(dataset)
+        prepared = (cache, dataset.covariates[cache.event_rows].sum(axis=0),
+                    cache.tie_counts.astype(np.float64), cache.risk_sizes - 1)
+        for a in (*vars(cache).values(), *prepared[1:]):
+            a.setflags(write=False)
+        _PREPARED[dataset] = prepared
+    return prepared
 
 
 class CoxObjective:
     """Value/gradient/Hessian of the averaged negative log partial
     likelihood at arbitrary coefficient vectors.
 
-    The instance is read-only over the dataset; each evaluation uses
-    call-local scratch, so concurrent calls on one instance are safe.
+    The instance is read-only over the dataset and reuses earlier work:
+
+    - the risk cache and event-row covariate sum are computed once per
+      dataset and shared by every objective on it;
+    - the last sweep (eta, its offset, exp weights, risk sums, value and
+      gradient) serves a later call made with the same array object whose
+      bytes have not changed since, so a gradient at a point whose value
+      was just taken costs no second product X @ beta;
+    - the last gathered column block X[:, S] serves the next gather over
+      the same support S.
+
+    A sweep that raises caches nothing, and a returned gradient is a copy.
+    Each cache entry is one tuple that is replaced whole, and evaluations
+    otherwise use call-local scratch, so concurrent calls on one instance
+    are safe: a race can only cost a recomputation.
     """
 
     def __init__(self, dataset: SurvivalDataset):
         if dataset.n_events == 0:
             raise DataError("no events: every subject is censored, nothing to fit")
         self.dataset = dataset
-        self.cache = build_risk_cache(dataset)
         self.n = dataset.n
         self.p = dataset.p
-        self._x_event_sum = dataset.covariates[self.cache.event_rows].sum(axis=0)
-        self._d = self.cache.tie_counts.astype(np.float64)
-        self._risk_last = self.cache.risk_sizes - 1   # prefix end of each group
+        self.cache, self._x_event_sum, self._d, self._risk_last = _prepare(dataset)
+        self._last_sweep = None    # (beta, its bytes, eta, offset, w, s0, value, grad)
+        self._last_gather = None   # (support bytes, X[:, support])
 
     # ---------------------------------------------------------- internals
 
-    def _eta(self, beta):
+    def _state(self, beta):
+        """(beta, its bytes, eta, offset, w, s0, value, grad) at beta: the
+        last sweep's entry when beta is that sweep's array unchanged, else
+        a fresh one whose value and grad are None."""
         beta = np.asarray(beta, dtype=np.float64)
+        last = self._last_sweep
+        if last is not None and last[0] is beta and last[1] == beta.tobytes():
+            return last
         if beta.shape != (self.p,):
             raise ValueError(f"beta must have length {self.p}, got shape {beta.shape}")
         if not np.isfinite(beta).all():
             raise ValueError("beta contains non-finite entries")
-        x = self.dataset.covariates
+        eta = self._eta(beta)
+        return (beta, beta.tobytes(), eta, *self._risk_sums(eta), None, None)
+
+    def _eta(self, beta):
         if self.p >= _GATHER_MIN_P:
             support = (beta != 0.0).nonzero()[0]
             if support.size * _GATHER_RATIO <= self.p:
-                return x[:, support] @ beta[support]
-        return x @ beta
+                return self._columns(support) @ beta[support]
+        return self.dataset.covariates @ beta
+
+    def _columns(self, support):
+        """X[:, support], reused when the last gather had the same support."""
+        key = support.tobytes()
+        last = self._last_gather
+        if last is not None and last[0] == key:
+            return last[1]
+        block = self.dataset.covariates[:, support]
+        self._last_gather = (key, block)
+        return block
 
     def _risk_sums(self, eta):
         """Offset exp weights in descending-time order plus the prefix sums
@@ -78,23 +128,23 @@ class CoxObjective:
         return marks[::-1].cumsum()[::-1]
 
     def _sweep(self, beta, want_value, want_grad):
-        """One descending-time sweep; returns (value or None, grad or None)."""
-        eta = self._eta(beta)
-        offset, w, s0 = self._risk_sums(eta)
-        value = grad = None
+        """One descending-time sweep, or what of it the last sweep left;
+        returns (value or None, grad or None)."""
+        beta, key, eta, offset, w, s0, value, grad = self._state(beta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if want_value:
+            if want_value and value is None:
                 log_terms = self._d * (np.log(s0) + offset)
                 value = float((log_terms.sum() - eta[self.cache.event_rows].sum()) / self.n)
                 if not math.isfinite(value):
                     self._raise_nonfinite("partial likelihood", beta)
-            if want_grad:
+            if want_grad and grad is None:
                 r = np.empty(self.n)
                 r[self.cache.order] = w * self._risk_coefficients(s0)
                 grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
                 if not np.isfinite(grad).all():
                     self._raise_nonfinite("gradient", beta)
-        return value, grad
+        self._last_sweep = (beta, key, eta, offset, w, s0, value, grad)
+        return value, (grad.copy() if want_grad else None)
 
     def _raise_nonfinite(self, what, beta):
         norm = float(np.linalg.norm(beta))
@@ -126,8 +176,7 @@ class CoxObjective:
         if self.p > p_cap:
             raise CapabilityError(
                 f"hessian materialization capped at p <= {p_cap}, got p = {self.p}")
-        eta = self._eta(beta)
-        _, w, s0 = self._risk_sums(eta)
+        w, s0 = self._state(beta)[4:6]
         x_ord = self.dataset.covariates[self.cache.order]
         with np.errstate(divide="ignore", invalid="ignore"):
             weighted = x_ord * w[:, None]
@@ -176,14 +225,15 @@ def fit_restricted(dataset: SurvivalDataset, support, tol: float = 1e-8,
                 f"singular restricted hessian on support of size {support.size}") from exc
         step = 1.0
         for _ in range(max_halvings):
+            cand = b + step * direction
             try:
-                cand_value, cand_grad = obj.value_and_gradient(b + step * direction)
+                cand_value, cand_grad = obj.value_and_gradient(cand)
             except NonFiniteError:
                 step *= 0.5
                 continue
             if cand_value <= value:
-                b = b + step * direction
-                value, grad = cand_value, cand_grad
+                # the next hessian(b) reuses this sweep's weights
+                b, value, grad = cand, cand_value, cand_grad
                 break
             step *= 0.5
         else:

@@ -19,7 +19,7 @@ import numpy as np
 from .cox import CoxObjective
 from .data import (ConstantSignal, Design, Independent, SimulationConfig,
                    SurvivalDataset, simulate_dataset)
-from .errors import CapabilityError
+from .errors import CapabilityError, ConfigError
 
 __all__ = ["LseReport", "lse_probe", "grad_check",
            "gradient_sup_norm_scaling"]
@@ -65,7 +65,7 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     if not (1 <= m <= p):
         raise CapabilityError(f"m must lie in [1, p]; got m={m}, p={p}")
     if r < 0:
-        raise ValueError("radius r must be non-negative")
+        raise ConfigError(f"radius r must be non-negative, got r={r}")
     k = min(m, p)
     n_supports = math.comb(p, k)
     if n_supports > LSE_SUPPORT_CAP:

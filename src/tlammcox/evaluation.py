@@ -237,6 +237,10 @@ class ExperimentGrid:
     censoring: tuple = None
 
     def __post_init__(self):
+        # methods are not checked here: the CLI adds them after building
+        for name in ("n_values", "p_values", "designs"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         for m in self.methods:
             kind = method_penalty_kind(m)
             if kind is not None and kind not in self.c_by_penalty:

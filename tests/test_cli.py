@@ -7,6 +7,7 @@ import pytest
 from tlammcox import CoxObjective, DataError, SimulationConfig, cli, load_csv, omega
 from tlammcox.cli import main
 from tlammcox.data import ConstantSignal
+from tlammcox.penalties import PenaltySpec, shift_gradient, value
 
 
 def write_config(tmp_path, name, payload):
@@ -58,6 +59,38 @@ def test_fit_outputs_with_truth_metrics(tmp_path, sim_out):
     assert len(beta_lines) == summary["support_size"] + 1
     trace_lines = (out / "trace.csv").read_text().strip().splitlines()
     assert trace_lines[0] == "stage,iter,F,omega,phi,step_norm,support"
+
+
+def test_fit_summary_takes_one_eta_product(tmp_path, sim_out, monkeypatch):
+    """The summary's final value and omega come from one sweep at the fitted
+    beta and carry the bytes two separate sweeps give."""
+    products, fits = [], []
+    real_eta, real_tlamm = CoxObjective._eta, cli.tlamm
+
+    def counted(self, beta):
+        products.append(self)
+        return real_eta(self, beta)
+
+    def fit_then_count(*args):
+        fits.append(real_tlamm(*args))
+        products.clear()
+        return fits[-1]
+
+    monkeypatch.setattr(CoxObjective, "_eta", counted)
+    monkeypatch.setattr(cli, "tlamm", fit_then_count)
+    cfg = write_config(tmp_path, "fit.json", {
+        "data": {"csv": str(sim_out / "dataset.csv")},
+        "penalty": {"kind": "scad", "c": 0.65}})
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert len(products) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    beta = fits[0].beta
+    spec = PenaltySpec("scad", summary["lambda"])
+    ds = load_csv(sim_out / "dataset.csv")
+    grad = CoxObjective(ds).gradient(beta) + shift_gradient(spec, beta)
+    assert summary["final_objective"] == CoxObjective(ds).nll(beta) + value(spec, beta)
+    assert summary["final_omega"] == omega(grad, beta, spec.lam)
 
 
 def test_fit_kkt_zero_gives_empty_beta(tmp_path, sim_out):
@@ -236,6 +269,12 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [30], "p": [10], "s": 3, "methods": ["magic"],
                              "reps": 1, "tune": {"n": 40, "p": 5}}},
      "unknown method 'magic'"),
+    # values of the right type that no run can use
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": -0.5},
+     "radius r must be non-negative"),
+    ("experiment", {"grid": {"n": [], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}}},
+     "n_values must not be empty"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -183,16 +186,151 @@ def test_gather_and_dense_eta_match_dense_reference(monkeypatch, support_size):
     # entries near zero come out of cancellation, so their error is judged
     # against the gradient's scale
     atol = 1e-12 * np.abs(ref_grad).max()
-    obj = CoxObjective(ds)
     # the default rule gathers a 25-column support at p=2400 and takes the
-    # dense product on a full one; raising the size floor forces dense
+    # dense product on a full one; raising the size floor forces dense. Each
+    # pass has its own objective, so no pass is served by the last sweep
     for min_p in (cox._GATHER_MIN_P, ds.p + 1):
         monkeypatch.setattr(cox, "_GATHER_MIN_P", min_p)
+        obj = CoxObjective(ds)
         value, grad = obj.value_and_gradient(beta)
         assert_allclose(obj.nll(beta), ref_value, rtol=1e-12)
         assert_allclose(obj.gradient(beta), ref_grad, rtol=1e-12, atol=atol)
         assert_allclose(value, ref_value, rtol=1e-12)
         assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
+
+
+def count_eta_products(monkeypatch):
+    """List that gains one entry per product X @ beta any objective takes."""
+    products = []
+    real_eta = CoxObjective._eta
+
+    def counted(self, beta):
+        products.append(self)
+        return real_eta(self, beta)
+
+    monkeypatch.setattr(CoxObjective, "_eta", counted)
+    return products
+
+
+def sparse_point(ds, size, seed):
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(ds.p)
+    beta[rng.choice(ds.p, size, replace=False)] = 0.3 * rng.standard_normal(size)
+    return beta
+
+
+# (n, p, support size): the gather path at 300x2400, the dense one at 200x100
+SWEEP_SHAPES = [(300, 2400, 25), (200, 100, 40)]
+
+
+@pytest.mark.parametrize("n, p, size", SWEEP_SHAPES)
+def test_gradient_after_value_reuses_the_sweep_bit_for_bit(monkeypatch, n, p, size):
+    ds, _ = simulate_dataset(SimulationConfig(n=n, p=p, s=10, seed=7))
+    beta = sparse_point(ds, size, 19)
+    fresh_value, fresh_grad = CoxObjective(ds).value_and_gradient(beta.copy())
+    products = count_eta_products(monkeypatch)
+    obj = CoxObjective(ds)
+    value = obj.nll(beta)
+    again, grad = obj.value_and_gradient(beta)
+    assert len(products) == 1
+    assert value == again == fresh_value
+    assert grad.tobytes() == fresh_grad.tobytes()
+    assert obj.gradient(beta).tobytes() == fresh_grad.tobytes()
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("n, p, size", SWEEP_SHAPES)
+def test_mutated_point_or_gradient_never_gives_a_stale_result(n, p, size):
+    ds, _ = simulate_dataset(SimulationConfig(n=n, p=p, s=10, seed=7))
+    beta = sparse_point(ds, size, 20)
+    obj = CoxObjective(ds)
+    grad = obj.gradient(beta)
+    expected = grad.copy()
+    grad[:] = 0.0
+    assert obj.gradient(beta).tobytes() == expected.tobytes()
+    _, grad = obj.value_and_gradient(beta)
+    grad *= 2.0
+    assert obj.value_and_gradient(beta)[1].tobytes() == expected.tobytes()
+    obj.nll(beta)
+    beta[np.flatnonzero(beta)[0]] += 0.5   # in place: same object, new bytes
+    fresh_value, fresh_grad = CoxObjective(ds).value_and_gradient(beta.copy())
+    value, grad = obj.value_and_gradient(beta)
+    assert value == fresh_value and grad.tobytes() == fresh_grad.tobytes()
+    beta[np.flatnonzero(beta == 0.0)[0]] = 0.25   # in place, support grows
+    assert obj.nll(beta) == CoxObjective(ds).nll(beta.copy())
+
+
+def test_nonfinite_sweep_caches_nothing(monkeypatch):
+    ds = SurvivalDataset([1.0, 2.0], [1, 1], np.array([[1.0], [-1.0]]))
+    products = count_eta_products(monkeypatch)
+    obj = CoxObjective(ds)
+    bad = np.array([800.0])
+    for call in (obj.nll, obj.gradient, obj.value_and_gradient):
+        with pytest.raises(NonFiniteError):
+            call(bad)
+        assert obj._last_sweep is None
+    assert len(products) == 3
+    good = np.array([0.5])
+    value = obj.nll(good)
+    with pytest.raises(NonFiniteError):
+        obj.nll(bad)
+    assert obj._last_sweep[0] is good
+    assert obj.value_and_gradient(good)[0] == value
+    assert len(products) == 5
+
+
+def test_objectives_on_one_dataset_share_its_risk_cache(monkeypatch):
+    builds = []
+    real_build = cox.build_risk_cache
+
+    def counted(dataset):
+        builds.append(dataset)
+        return real_build(dataset)
+
+    monkeypatch.setattr(cox, "build_risk_cache", counted)
+    ds = random_dataset(np.random.default_rng(21), 40, 5)
+    a, b = CoxObjective(ds), CoxObjective(ds)
+    assert len(builds) == 1 and a.cache is b.cache
+    assert not a.cache.order.flags.writeable
+    CoxObjective(ds.subset(np.arange(30)))
+    assert len(builds) == 2
+    # the entry goes with its dataset
+    entries = len(cox._PREPARED)
+    del a, b, ds, builds[:]
+    gc.collect()
+    assert len(cox._PREPARED) < entries
+
+
+def test_concurrent_calls_on_one_objective_stay_consistent():
+    """Threads sharing one objective each get the bits a lone caller gets:
+    no result mixes one point's sweep with another's."""
+    ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
+    points = [sparse_point(ds, 10 + 5 * i, 30 + i) for i in range(4)]
+    expected = [CoxObjective(ds).value_and_gradient(b.copy()) for b in points]
+    obj = CoxObjective(ds)
+    errors = []
+
+    def work(i):
+        beta = points[i]
+        for _ in range(40):
+            v = obj.nll(beta)
+            value, grad = obj.value_and_gradient(beta)
+            if not (v == value == expected[i][0]
+                    and grad.tobytes() == expected[i][1].tobytes()):
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def hessian_case(name):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tlammcox import (CapabilityError, CoxObjective, SimulationConfig,
-                      lse_probe, simulate_dataset)
+from tlammcox import (CapabilityError, ConfigError, CoxObjective,
+                      SimulationConfig, lse_probe, simulate_dataset)
 from tlammcox.diagnostics import grad_check, gradient_sup_norm_scaling
 from conftest import random_dataset
 
@@ -60,6 +60,8 @@ def test_lse_caps():
     ds = random_dataset(rng, 30, 5)
     with pytest.raises(CapabilityError):
         lse_probe(ds, np.zeros(5), m=6, r=0.1)
+    with pytest.raises(ConfigError, match="radius"):
+        lse_probe(ds, np.zeros(5), m=2, r=-0.5)
 
 
 def test_lse_positivity_well_sampled():

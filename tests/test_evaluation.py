@@ -247,6 +247,11 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         ExperimentGrid(n_values=(50,), p_values=(10,), designs=(Independent(),),
                        methods=("tlamm-scad",), reps=1, seed=0, c_by_penalty={})
+    for empty in ({"n_values": ()}, {"p_values": ()}, {"designs": ()}):
+        with pytest.raises(ConfigError, match="must not be empty"):
+            ExperimentGrid(**{"n_values": (50,), "p_values": (10,),
+                              "designs": (Independent(),), "methods": ("lasso",),
+                              "reps": 1, "c_by_penalty": {"lasso": 0.45}, **empty})
 
 
 def test_run_experiment_single_cell(tmp_path):
