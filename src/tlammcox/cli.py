@@ -148,9 +148,7 @@ def _parse_solver(obj, where="solver"):
 
 def _parse_penalty(obj, n, p, where="penalty"):
     _require_keys(obj, {"kind", "lambda", "c", "a", "gamma"}, {"kind"}, where)
-    kind = obj["kind"]
-    if kind not in ("lasso", "scad", "mcp"):
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    kind = _read(obj, "kind", str, where)     # PenaltySpec checks the kind
     if ("lambda" in obj) == ("c" in obj):
         raise ConfigError(f"{where}: give exactly one of lambda or c")
     lam = _read(obj, "lambda", _float, where) if "lambda" in obj else \

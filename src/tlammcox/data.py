@@ -277,9 +277,9 @@ def save_csv(dataset: SurvivalDataset, path, true_beta=None, seed=None) -> None:
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time,status," + ",".join(f"x{j+1}" for j in range(dataset.p)) + "\n")
-        for t, d, row in zip(dataset.times.tolist(), dataset.status.tolist(),
-                             dataset.covariates.tolist()):
-            fh.write(f"{t!r},{d},{','.join(map(repr, row))}\n")
+        # one row of Python floats at a time, so memory is O(p) beyond the data
+        for t, d, row in zip(dataset.times, dataset.status, dataset.covariates):
+            fh.write(f"{t.item()!r},{d.item()},{','.join(map(repr, row.tolist()))}\n")
     if true_beta is not None:
         sidecar = truth_sidecar_path(path)
         payload = {"true_beta": [float(v) for v in true_beta],

@@ -169,9 +169,10 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     A stage converges once omega <= eps. The current iterate is tested
     before stepping, so an init that is already eps-optimal is returned
     unchanged. A zero step with omega > eps stops it as stalled, and
-    max_iter_stage steps as max_iter. phi_init carries the accepted
-    curvature across stages so a follow-on stage continues exactly where a
-    single longer run would be.
+    max_iter_stage steps as max_iter. init is not copied (a stage that
+    takes no step returns a copy), so a stage handed the previous stage's
+    last array starts on its sweep, and phi_init carries the curvature: a
+    follow-on stage continues exactly where a single longer run would be.
 
     Every stage after stage 1 stops, unconverged, once the support is at
     least the number of events: at the start, so a saturated init takes no
@@ -197,9 +198,9 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
 
     def done(steps, why):
         trace.exits.append(why)
-        return beta, steps, why == "converged", phi_prev
+        return (beta if steps else beta.copy()), steps, why == "converged", phi_prev
 
-    beta = np.asarray(init, dtype=np.float64).copy()
+    beta = np.asarray(init, dtype=np.float64)
     phi_prev = config.phi0 if phi_init is None else phi_init
     if saturation is not None and np.count_nonzero(beta) >= saturation:
         return done(0, "saturated")
@@ -237,11 +238,18 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     return done(config.max_iter_stage, "max_iter")
 
 
-def _fit_status(exits) -> str:
-    """FitResult.status from trace.exits: the last exit that is not
-    "converged", else "converged"."""
-    return next((why for why in reversed(exits) if why != "converged"),
-                "converged")
+def _fit_result(beta, spec, stage1_beta, trace, t0, out_of_stages=False):
+    """FitResult read from the trace by one rule: steps are (stage-1
+    records, the rest); stage 1 converged when its exit did, the later
+    stages when all theirs did and I-LAMM did not run out of stages."""
+    k1 = len(trace.stage_records(1))
+    status = "max_iter" if out_of_stages else next(
+        (why for why in reversed(trace.exits) if why != "converged"), "converged")
+    later_ok = not out_of_stages and all(why == "converged" for why in trace.exits[1:])
+    return FitResult(beta=beta, lam=spec.lam, stage1_beta=stage1_beta,
+                     iterations=(k1, len(trace.records) - k1), trace=trace,
+                     converged=(trace.exits[0] == "converged", later_ok),
+                     status=status, seconds=time.perf_counter() - t0)
 
 
 def stage1_lasso(objective: CoxObjective, lam: float, config: SolverConfig):
@@ -269,17 +277,13 @@ def stage2(objective: CoxObjective, spec: PenaltySpec, config: SolverConfig,
 def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
           config: SolverConfig = SolverConfig()) -> FitResult:
     """Two-stage fit: l1 burn-in at lambda, then direct LAMM on the shifted
-    folded-concave objective from the stage-1 iterate."""
+    folded-concave objective from the stage-1 iterate, on one trace."""
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
-    b1, k1, ok1, trace, phi1 = stage1_lasso(objective, spec.lam, config)
-    b2, k2, ok2, tr2, _ = stage2(objective, spec, config, init=b1, phi_init=phi1)
-    trace.records.extend(tr2.records)
-    trace.exits.extend(tr2.exits)
-    return FitResult(beta=b2, lam=spec.lam, stage1_beta=b1,
-                     iterations=(k1, k2), trace=trace, converged=(ok1, ok2),
-                     status=_fit_status(trace.exits),
-                     seconds=time.perf_counter() - t0)
+    b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
+    beta = _lamm_loop(objective, spec.lam, b1, config=config, stage=2,
+                      trace=trace, phi_init=phi, shift=spec)[0]
+    return _fit_result(beta, spec, b1, trace, t0)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
@@ -289,32 +293,22 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     an adaptive Lasso whose weights are the penalty derivative at the
     previous stage's coefficients; stops early once consecutive stage
     outputs are within eps2 in l2, or once a stage saturates or stalls;
-    running out of max_stages first clears converged[1] and gives status
-    max_iter."""
+    running out of max_stages (burn-in included, at least 2) first clears
+    converged[1] and gives status max_iter."""
+    if max_stages < 2:
+        raise ConfigError("max_stages must be at least 2")
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
-    b1, k1, ok1, trace, phi = stage1_lasso(objective, spec.lam, config)
-    b_prev = b1
-    total_steps = 0
-    ok_tighten = True
+    b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
+    beta = b1
     for ell in range(2, max_stages + 1):
+        b_prev = beta
         weights = np.asarray(derivative(spec, np.abs(b_prev)), dtype=np.float64)
-        b_next, steps, ok, phi = _lamm_loop(objective, weights, b_prev,
-                                            config=config, stage=ell,
-                                            trace=trace, phi_init=phi)
-        total_steps += steps
-        ok_tighten = ok_tighten and ok
-        gap = float(np.linalg.norm(b_next - b_prev))
-        b_prev = b_next
+        beta, _, _, phi = _lamm_loop(objective, weights, b_prev, config=config,
+                                     stage=ell, trace=trace, phi_init=phi)
         # a stage stalled at the float floor leaves phi so large that the
         # next stage's predicted decrease is below one ulp of the loss
+        gap = np.linalg.norm(beta - b_prev)
         if trace.exits[-1] in ("saturated", "stalled") or gap <= config.eps2:
-            status = _fit_status(trace.exits)
-            break
-    else:
-        ok_tighten = False
-        status = "max_iter"
-    return FitResult(beta=b_prev, lam=spec.lam, stage1_beta=b1,
-                     iterations=(k1, total_steps), trace=trace,
-                     converged=(ok1, ok_tighten), status=status,
-                     seconds=time.perf_counter() - t0)
+            return _fit_result(beta, spec, b1, trace, t0)
+    return _fit_result(beta, spec, b1, trace, t0, out_of_stages=True)

@@ -275,6 +275,11 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6}}},
      "n_values must not be empty"),
+    # one check of the penalty kind, PenaltySpec's, for fit and cv alike
+    ("fit", {"data": {"simulate": sim_config()},
+             "penalty": {"kind": "ridge", "c": 0.65}}, "unknown penalty kind 'ridge'"),
+    ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "ridge",
+            "c_grid": [0.5]}, "unknown penalty kind 'ridge'"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

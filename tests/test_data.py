@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert back.status.tobytes() == ds.status.tobytes()
     assert back.covariates.tobytes() == ds.covariates.tobytes()
     assert back.covariates.shape == (2000, 20)
+
+
+def test_save_csv_memory_does_not_grow_with_n(tmp_path):
+    # rows are formatted one at a time; the whole 20000 x 20 matrix as
+    # Python floats would take about 15 MB
+    ds, _ = simulate_dataset(SimulationConfig(n=20000, p=20, s=5, seed=8))
+    tracemalloc.start()
+    try:
+        save_csv(ds, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("row,match", [

@@ -324,6 +324,9 @@ def test_max_iter_flagged_not_raised():
     # an earlier capped stage decides the status when the last one converges
     fit = ilamm(ds, scad(0.08), SolverConfig(max_iter_stage=2))
     assert fit.converged == (False, False) and fit.status == "max_iter"
+    # I-LAMM with no reweighted stage would hand back its burn-in
+    with pytest.raises(ConfigError):
+        ilamm(ds, scad(0.08), SolverConfig(), max_stages=1)
     ds, _ = simulate_dataset(SimulationConfig(n=100, p=20, s=4, seed=20))
     fit = tlamm(ds, scad(0.3 * math.sqrt(math.log(20) / 100)),
                 SolverConfig(max_iter_stage=8))
@@ -373,7 +376,54 @@ def test_saturated_stage1_output_takes_no_stage2_step():
         assert fit.iterations[1] == 0 and fit.status == "saturated"
         assert fit.converged == (True, False)
         assert np.array_equal(fit.beta, fit.stage1_beta)
+        assert not np.shares_memory(fit.beta, fit.stage1_beta)
         assert {r.stage for r in fit.trace.records} == {1}
+
+
+def test_stage2_starts_on_the_sweep_stage1_ended_on(monkeypatch):
+    # stage 1's last iterate is handed over as the same array, so the
+    # objective's last sweep serves stage 2's first value_and_gradient
+    ds, _ = simulate_dataset(SimulationConfig(n=120, p=30, s=5, seed=11))
+    spec = scad(0.65 * math.sqrt(math.log(30) / 120))
+    obj = CoxObjective(ds)
+    b1, k1, _, _, phi = stage1_lasso(obj, spec.lam, SolverConfig())
+    products = []       # X.T @ r per value_and_gradient call
+    risk_coefficients = CoxObjective._risk_coefficients
+    value_and_gradient = CoxObjective.value_and_gradient
+
+    def counting(self, s0):
+        products[-1] += 1
+        return risk_coefficients(self, s0)
+
+    def recording(self, beta):
+        products.append(0)
+        return value_and_gradient(self, beta)
+
+    monkeypatch.setattr(CoxObjective, "_risk_coefficients", counting)
+    monkeypatch.setattr(CoxObjective, "value_and_gradient", recording)
+    _, k2, _, _, _ = stage2(obj, spec, SolverConfig(), init=b1, phi_init=phi)
+    assert k1 > 0 and k2 > 0
+    assert products[0] == 0 and products[1:] == [1] * k2
+
+
+def test_stage2_neither_returns_nor_changes_its_init():
+    def run(n, p, seed, c):
+        ds, _ = simulate_dataset(SimulationConfig(n=n, p=p, s=4, seed=seed))
+        obj = CoxObjective(ds)
+        spec = scad(c * math.sqrt(math.log(p) / n))
+        return obj, spec, stage1_lasso(obj, spec.lam, SolverConfig())[0]
+
+    stepped = run(120, 30, 11, 0.65)
+    obj, spec, b1 = stepped
+    b2 = stage2(obj, spec, SolverConfig(), init=b1)[0]
+    # stepping from b1; already converged at b2; saturated at the start (p > n)
+    for (obj, spec, init), steps in [(stepped, True), ((obj, spec, b2), False),
+                                     (run(60, 80, 3, 0.1), False)]:
+        saved = init.tobytes()
+        beta, k, _, _, _ = stage2(obj, spec, SolverConfig(), init=init)
+        assert (k > 0) == steps
+        assert beta is not init and not np.shares_memory(beta, init)
+        assert init.tobytes() == saved
 
 
 def test_ilamm_stops_at_saturated_stage():
