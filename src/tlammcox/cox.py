@@ -89,10 +89,14 @@ class CoxObjective:
             return last
         if beta.shape != (self.p,):
             raise ValueError(f"beta must have length {self.p}, got shape {beta.shape}")
-        if not np.isfinite(beta).all():
+        if not np.logical_and.reduce(np.isfinite(beta)):
             raise ValueError("beta contains non-finite entries")
         eta = self._eta(beta)
-        return (beta, beta.tobytes(), eta, *self._risk_sums(eta), None, None)
+        # exp weights in descending-time order, offset by max eta; S0 at risk boundaries
+        offset = float(np.maximum.reduce(eta))
+        w = np.exp(eta[self.cache.order] - offset)
+        s0 = w.cumsum()[self._risk_last]
+        return (beta, beta.tobytes(), eta, offset, w, s0, None, None)
 
     def _eta(self, beta):
         if self.p >= _GATHER_MIN_P:
@@ -111,14 +115,6 @@ class CoxObjective:
         self._last_gather = (key, block)
         return block
 
-    def _risk_sums(self, eta):
-        """Offset exp weights in descending-time order plus the prefix sums
-        S0 at each event group's risk boundary."""
-        offset = float(eta.max())
-        w = np.exp(eta[self.cache.order] - offset)
-        s0 = w.cumsum()[self._risk_last]
-        return offset, w, s0
-
     def _risk_coefficients(self, s0):
         """c_q = sum over groups whose risk prefix covers sorted position q
         of d_g / S0_g: a reverse cumsum of boundary marks (boundaries are
@@ -131,18 +127,20 @@ class CoxObjective:
         """One descending-time sweep, or what of it the last sweep left;
         returns (value or None, grad or None)."""
         beta, key, eta, offset, w, s0, value, grad = self._state(beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if want_value and value is None:
-                log_terms = self._d * (np.log(s0) + offset)
-                value = float((log_terms.sum() - eta[self.cache.event_rows].sum()) / self.n)
-                if not math.isfinite(value):
-                    self._raise_nonfinite("partial likelihood", beta)
-            if want_grad and grad is None:
-                r = np.empty(self.n)
-                r[self.cache.order] = w * self._risk_coefficients(s0)
-                grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
-                if not np.isfinite(grad).all():
-                    self._raise_nonfinite("gradient", beta)
+        # groups run forward in time, so S0's last entry is its least; NaN fails too
+        if not s0[-1] > 0:
+            self._raise_nonfinite("partial likelihood" if want_value else "gradient", beta)
+        if want_value and value is None:
+            value = float((np.add.reduce(self._d * (np.log(s0) + offset))
+                           - np.add.reduce(eta[self.cache.event_rows])) / self.n)
+            if not math.isfinite(value):
+                self._raise_nonfinite("partial likelihood", beta)
+        if want_grad and grad is None:
+            r = np.empty(self.n)
+            r[self.cache.order] = w * self._risk_coefficients(s0)
+            grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
+            if not np.logical_and.reduce(np.isfinite(grad)):
+                self._raise_nonfinite("gradient", beta)
         self._last_sweep = (beta, key, eta, offset, w, s0, value, grad)
         return value, (grad.copy() if want_grad else None)
 

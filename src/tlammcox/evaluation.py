@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +318,7 @@ def _pmap(fn, tasks, threads):
     if threads <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # kept out of a cold import
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         yield from pool.map(fn, tasks, chunksize=1)
 

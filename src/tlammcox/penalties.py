@@ -64,23 +64,24 @@ def derivative(spec: PenaltySpec, t):
     t = np.asarray(t, dtype=np.float64)
     if (t < 0).any():
         raise ValueError("penalty derivative is defined on t >= 0")
-    lam = spec.lam
+    return _derivative(spec, t) if t.ndim else float(_derivative(spec, t))
+
+
+def _derivative(spec: PenaltySpec, t) -> np.ndarray:
+    """p'(t) on a float64 array t >= 0, unchecked."""
+    lam, a = spec.lam, spec.shape
     if spec.kind == "lasso":
-        out = np.full_like(t, lam)
-    elif spec.kind == "scad":
-        a = spec.shape
-        out = np.where(t <= lam, lam, np.maximum(a * lam - t, 0.0) / (a - 1.0))
-    else:
-        out = np.maximum(lam - t / spec.shape, 0.0)
-    return out if out.ndim else float(out)
+        return np.full_like(t, lam)
+    if spec.kind == "scad":
+        return np.where(t <= lam, lam, np.maximum(a * lam - t, 0.0) / (a - 1.0))
+    return np.maximum(lam - t / a, 0.0)
 
 
 def _per_coordinate(spec: PenaltySpec, t) -> np.ndarray:
     """p(t) per coordinate of t = |beta| for SCAD and MCP; SCAD's middle
     and flat pieces are evaluated only where t > lambda."""
-    lam = spec.lam
+    lam, a = spec.lam, spec.shape
     if spec.kind == "scad":
-        a = spec.shape
         per = lam * t
         above = t > lam
         tb = t[above]
@@ -88,8 +89,7 @@ def _per_coordinate(spec: PenaltySpec, t) -> np.ndarray:
             middle = (2 * a * lam * tb - tb * tb - lam * lam) / (2 * (a - 1))
             per[above] = np.where(tb <= a * lam, middle, lam * lam * (a + 1) / 2)
         return per
-    g = spec.shape
-    return np.where(t <= g * lam, lam * t - t * t / (2 * g), g * lam * lam / 2)
+    return np.where(t <= a * lam, lam * t - t * t / (2 * a), a * lam * lam / 2)
 
 
 def value(spec: PenaltySpec, beta) -> float:
@@ -105,7 +105,7 @@ def shift_value(spec: PenaltySpec, beta) -> float:
     if spec.kind == "lasso":
         return 0.0
     t = np.abs(np.asarray(beta, dtype=np.float64).ravel())
-    return float(_per_coordinate(spec, t).sum()) - spec.lam * float(t.sum())
+    return float(np.add.reduce(_per_coordinate(spec, t))) - spec.lam * float(np.add.reduce(t))
 
 
 def shift_gradient(spec: PenaltySpec, beta) -> np.ndarray:
@@ -114,11 +114,11 @@ def shift_gradient(spec: PenaltySpec, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if spec.kind == "lasso":
         return np.zeros_like(beta)
-    return (derivative(spec, np.abs(beta)) - spec.lam) * np.sign(beta)
+    return (_derivative(spec, np.abs(beta)) - spec.lam) * np.sign(beta)
 
 
 def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0), elementwise; t may be a vector."""
-    x = np.asarray(x, dtype=np.float64)
+    x = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, np.float64)
     out = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
     return out if out.ndim else float(out)

@@ -19,8 +19,10 @@ only when every stage converged.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +57,7 @@ class SolverConfig:
             raise ConfigError("max_iter_stage must be positive")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     stage: int
     k: int
     objective: float          # F = smooth loss + l1 term at the new iterate
@@ -81,9 +82,8 @@ class SolverTrace:
         with open(str(path), "w", encoding="utf-8") as fh:
             fh.write("stage,iter,F,omega,phi,step_norm,support\n")
             for r in self.records:
-                fh.write(f"{r.stage},{r.k},{float(r.objective)!r},"
-                         f"{float(r.omega)!r},{float(r.phi)!r},"
-                         f"{float(r.step_norm)!r},{r.support}\n")
+                fh.write(f"{r.stage},{r.k},{float(r.objective)!r},{float(r.omega)!r},"
+                         f"{float(r.phi)!r},{float(r.step_norm)!r},{r.support}\n")
 
 
 @dataclass
@@ -109,22 +109,18 @@ def omega(grad, beta, lam) -> float:
 
     Coordinate-wise closed form: |g_j + lam sign(b_j)| where b_j != 0 and
     max(|g_j| - lam, 0) where b_j = 0. lam may be a vector of per-
-    coordinate weights. The zero-coordinate form is taken everywhere, then
-    the support entries are overwritten.
+    coordinate weights. Both forms are taken everywhere and the zero
+    pattern of beta picks between them.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    per = np.maximum(np.abs(grad) - lam, 0.0)
-    support = (beta != 0.0).nonzero()
-    lam_s = lam[support] if lam.ndim else lam
-    per[support] = np.abs(grad[support] + lam_s * np.sign(beta[support]))
-    return float(per.max()) if per.size else 0.0
+    grad, beta = np.asarray(grad, dtype=np.float64), np.asarray(beta, dtype=np.float64)
+    per = np.where(beta == 0.0, np.maximum(np.abs(grad) - lam, 0.0),
+                   np.abs(grad + lam * np.sign(beta)))
+    return float(np.maximum.reduce(per)) if per.size else 0.0
 
 
 def lamm_step(beta, grad, phi, lam) -> np.ndarray:
     """Minimizer of the phi-isotropic model plus the l1 term."""
-    return soft_threshold(beta - grad / phi, np.asarray(lam) / phi)
+    return soft_threshold(beta - grad / phi, lam / phi)
 
 
 def line_search(loss_fn, beta, loss_at_beta, grad_at_beta, phi_prev, lam,
@@ -142,11 +138,11 @@ def line_search(loss_fn, beta, loss_at_beta, grad_at_beta, phi_prev, lam,
         sq = float(delta @ delta)
         model = loss_at_beta + float(grad_at_beta @ delta) + 0.5 * phi * sq
         try:
-            cand_loss = loss_fn(cand)
+            cand_loss = float(loss_fn(cand))
         except NonFiniteError:
-            cand_loss = np.inf
-        if np.isfinite(cand_loss) and cand_loss <= model:
-            return cand, phi, float(cand_loss), float(np.sqrt(sq)), float(model - cand_loss)
+            cand_loss = math.inf
+        if math.isfinite(cand_loss) and cand_loss <= model:
+            return cand, phi, cand_loss, math.sqrt(sq), model - cand_loss
         phi *= config.gamma_u
         if phi > config.max_phi:
             raise LineSearchError(
@@ -168,11 +164,14 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
 
     A stage converges once omega <= eps. The current iterate is tested
     before stepping, so an init that is already eps-optimal is returned
-    unchanged. A zero step with omega > eps stops it as stalled, and
-    max_iter_stage steps as max_iter. init is not copied (a stage that
-    takes no step returns a copy), so a stage handed the previous stage's
-    last array starts on its sweep, and phi_init carries the curvature: a
-    follow-on stage continues exactly where a single longer run would be.
+    unchanged. A zero step with omega > eps stops it as stalled, as does a
+    failed line search after a step whose predicted decrease 0.5 phi
+    ||step||^2 was below one ulp of the loss (the float floor); any other
+    failed search raises. max_iter_stage steps stop it as max_iter. init is
+    not copied (a stage that takes no step returns a copy), so a stage
+    handed the previous stage's last array starts on its sweep, and
+    phi_init carries the curvature: a follow-on stage continues exactly
+    where a single longer run would be.
 
     Every stage after stage 1 stops, unconverged, once the support is at
     least the number of events: at the start, so a saturated init takes no
@@ -188,7 +187,7 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
             return float(weights @ np.abs(b))
     else:
         def l1_term(b):
-            return weights * float(np.abs(b).sum())
+            return weights * float(np.add.reduce(np.abs(b)))
 
     if shift is None:
         loss_fn = objective.nll
@@ -213,8 +212,13 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     if omega(grad, beta, weights) <= eps:
         return done(0, "converged")
     for k in range(1, config.max_iter_stage + 1):
-        beta, phi, loss, step_norm, gap = line_search(
-            loss_fn, beta, loss, grad, phi_prev, weights, config)
+        try:
+            beta, phi, loss, step_norm, gap = line_search(
+                loss_fn, beta, loss, grad, phi_prev, weights, config)
+        except LineSearchError:
+            if k == 1 or 0.5 * phi_prev * step_norm * step_norm >= np.spacing(abs(loss)):
+                raise
+            return done(k - 1, "stalled")
         # the accepted loss is line_search's, so no shift value is needed here
         grad = objective.value_and_gradient(beta)[1]
         if shift is not None:
@@ -222,10 +226,8 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
         phi_prev = phi
         w = omega(grad, beta, weights)
         support = int(np.count_nonzero(beta))
-        trace.records.append(TraceRecord(
-            stage=stage, k=k, objective=loss + l1_term(beta), omega=w,
-            phi=phi, step_norm=step_norm, support=support,
-            majorization_gap=gap))
+        trace.records.append(TraceRecord(stage, k, loss + l1_term(beta), w, phi,
+                                         step_norm, support, gap))
         if saturation is not None and support >= saturation:
             return done(k, "saturated")
         if w <= eps:

@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,25 @@ def test_nonfinite_error_reports_norm():
         obj.nll(np.array([800.0]))
     with pytest.raises(NonFiniteError):
         obj.gradient(np.array([800.0]))
+    with pytest.raises(NonFiniteError, match="partial likelihood.*beta"):
+        obj.value_and_gradient(np.array([800.0]))
+    # several tied and untied event groups, and only the latest risk set
+    # (the two subjects at t=5, both far below the max eta) underflows
+    ds = SurvivalDataset([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 5.0], [1, 1, 1, 0, 1, 1, 1],
+                         np.array([[0.0], [1.0], [0.5], [0.2], [0.1], [-1.0], [-2.0]]))
+    obj = CoxObjective(ds)
+    beta = np.array([800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call, what in ((obj.nll, "partial likelihood"), (obj.gradient, "gradient"),
+                           (obj.value_and_gradient, "partial likelihood")):
+            with pytest.raises(NonFiniteError, match=f"{what} is non-finite at "
+                               r"\|\|beta\|\|_2 = 800"):
+                call(beta)
+        assert obj._last_sweep is None
+        # the earlier risk sets are positive: a smaller beta is finite
+        value, grad = obj.value_and_gradient(np.array([1.0]))
+        assert math.isfinite(value) and np.all(np.isfinite(grad))
 
 
 def test_fit_restricted_matches_scalar_search():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -381,7 +382,7 @@ def test_pmap_starts_at_most_one_worker_per_task(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert list(evaluation._pmap(abs, [-1, -2], 64)) == [1, 2]
     assert list(evaluation._pmap(abs, [-1, -2, -3], 2)) == [1, 2, 3]
     assert started == [2, 2]

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from tlammcox import ConfigError, PenaltySpec, lasso, mcp, scad
 from tlammcox.penalties import (derivative, shift_gradient, shift_value,
                                 soft_threshold, value)
+from tlammcox.solver import lamm_step
 
 
 def test_spec_validation():
@@ -124,6 +125,35 @@ def test_soft_threshold_examples():
     assert_allclose(soft_threshold(np.array([3.0, -0.5, -2.0]),
                                    np.array([1.0, 1.0, 0.5])),
                     [2.0, 0.0, -1.5])
+
+
+def reference_soft_threshold(x, t):
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def test_soft_threshold_and_lamm_step_bitwise_equal_to_formula():
+    # signed zeros, |x| == t exactly, scalar and vector thresholds; bytes
+    # compare -0.0 and 0.0 as different
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300],
+                        rng.standard_normal(40)])
+    t_vec = np.concatenate([[0.5, 0.5, 0.5, 0.5, 0.0, 0.0],
+                            rng.uniform(0.0, 1.0, 40)])
+    t_vec[10:20] = np.abs(x[10:20])
+    for t in (0.5, 0.0, t_vec):
+        assert (soft_threshold(x, t).tobytes()
+                == reference_soft_threshold(x, t).tobytes())
+        for xj, tj in zip(x, np.broadcast_to(t, x.shape)):
+            assert (np.float64(soft_threshold(float(xj), float(tj))).tobytes()
+                    == reference_soft_threshold(xj, tj).tobytes())
+    grad = rng.standard_normal(x.size)
+    grad[:4] = [0.0, -0.0, 0.0, -0.0]
+    for phi in (1.0, 3.0, 1e11):
+        for lam in (0.5, t_vec):
+            expect = reference_soft_threshold(x - grad / phi,
+                                              np.asarray(lam) / phi)
+            assert lamm_step(x, grad, phi, lam).tobytes() == expect.tobytes()
 
 
 # verbatim nested np.where formulas of the closed forms; the package must

@@ -10,7 +10,7 @@ from tlammcox import (ConfigError, CoxObjective, LineSearchError,
                       SimulationConfig, SolverConfig, fit_restricted, ilamm,
                       lasso, mcp, omega, scad, simulate_dataset, tlamm)
 from tlammcox import solver
-from tlammcox.solver import lamm_step, line_search, stage1_lasso, stage2
+from tlammcox.solver import TraceRecord, lamm_step, line_search, stage1_lasso, stage2
 from conftest import random_dataset
 
 
@@ -314,6 +314,22 @@ def test_float_floor_stall_is_flagged():
     assert not fit.converged[1] and fit.trace.records[-1].step_norm == 0.0
 
 
+def test_ilamm_stage_at_float_floor_stops_stalled():
+    # stage 4 climbs to phi ~1e11 with steps that shrink towards 1e-19 but
+    # never reach exactly zero; the next line search runs past max_phi, and
+    # since the last accepted step predicted a decrease far below one ulp
+    # of the loss the stage ends stalled instead of raising
+    ds, _ = simulate_dataset(SimulationConfig(n=200, p=100, s=10, seed=1))
+    fit = ilamm(ds, scad(0.65 * math.sqrt(math.log(100) / 200)),
+                SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000))
+    last = fit.trace.records[-1]
+    assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
+    assert fit.converged == (True, False) and last.omega > 1e-8
+    assert last.step_norm > 0.0
+    assert 0.5 * last.phi * last.step_norm ** 2 < np.spacing(abs(last.objective))
+    assert fit.iterations[1] == len(fit.trace.records) - fit.iterations[0]
+
+
 def test_max_iter_flagged_not_raised():
     ds, _ = simulate_dataset(SimulationConfig(n=100, p=20, s=4, seed=15))
     fit = tlamm(ds, scad(0.08), SolverConfig(max_iter_stage=2))
@@ -500,6 +516,13 @@ def test_fit_result_support_and_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "stage,iter,F,omega,phi,step_norm,support"
     assert len(lines) == len(fit.trace.records) + 1
+    # records keep their field order and cannot be changed
+    assert TraceRecord._fields == ("stage", "k", "objective", "omega", "phi",
+                                   "step_norm", "support", "majorization_gap")
+    record = fit.trace.records[0]
+    with pytest.raises(AttributeError):
+        record.omega = 0.0
+    assert record == fit.trace.records[0] and record.stage == 1 and record.k == 1
 
 
 @pytest.mark.parametrize("method", [tlamm, ilamm])
