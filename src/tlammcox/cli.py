@@ -34,28 +34,37 @@ from .solver import SolverConfig, ilamm, omega, tlamm
 
 # ---------------------------------------------------------- config parsing
 
-def _require_keys(obj, allowed, required, where):
+def _block(obj, kinds, where, required=(), seed_override=None):
+    """{key: kinds[key](obj[key])} for each key that obj sets and that is not
+    null, so a key left absent or null takes the default of the signature it
+    is passed to. kinds is both the block's allowed keys and its schema; an
+    unknown key, an unset required key or a value its converter rejects is a
+    ConfigError naming where.key. A --seed override replaces the seed."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(allowed)
+    unknown = set(obj) - set(kinds)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = {key for key in required if obj.get(key) is None}
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    given = {}
+    for key, kind in kinds.items():
+        if obj.get(key) is not None:
+            try:
+                given[key] = kind(obj[key])
+            except ConfigError:
+                raise       # from a nested parser, whose message names the key
+            except (LookupError, TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{where}.{key}: invalid value {obj[key]!r}") from None
+    if seed_override is not None:
+        given["seed"] = seed_override
+    return given
 
 
-def _read(obj, key, kind, where):
-    """obj[key] converted by kind; a missing key or a value kind rejects is
-    a ConfigError naming where.key."""
-    if key not in obj:
-        raise ConfigError(f"{where}: missing key {key!r}")
-    try:
-        return kind(obj[key])
-    except ConfigError:
-        raise       # from a nested parser, whose message names the key
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key}: invalid value {obj[key]!r}") from None
+def _later(value):
+    """A nested block, parsed once the values it depends on are known."""
+    return value
 
 
 def _int(value):
@@ -73,15 +82,10 @@ def _float(value):
     return float(value)
 
 
-def _given(obj, kinds, where, seed_override=None):
-    """{key: kind(obj[key])} for each key of kinds that obj sets, so that a
-    key left absent or null takes the default of the signature it is passed
-    to; a --seed override replaces obj["seed"]."""
-    given = {key: _read(obj, key, kind, where) for key, kind in kinds.items()
-             if obj.get(key) is not None}
-    if seed_override is not None:
-        given["seed"] = seed_override
-    return given
+def _str(value):
+    if not isinstance(value, str):      # str() would format a number or list
+        raise TypeError("expected a string")
+    return value
 
 
 def _list_of(kind):
@@ -104,81 +108,74 @@ def _float_map(value):
     return {k: _float(v) for k, v in value.items()}
 
 
-def _parse_design(obj, where="design"):
-    _require_keys(obj, {"kind", "rho"}, {"kind"}, where)
-    kind = obj["kind"]
-    if kind == "independent":
-        if "rho" in obj:
-            raise ConfigError(f"{where}: independent design takes no rho")
-        return Independent()
-    if kind == "constant_correlation":
-        return ConstantCorrelation(_read(obj, "rho", _float, where))
-    if kind == "autoregressive":
-        return Autoregressive(_read(obj, "rho", _float, where))
-    raise ConfigError(f"{where}: unknown design kind {kind!r}")
+def _kind_of(classes, kinds, where):
+    """Converter of a {"kind": name, ...} block to classes[name] built from
+    its other keys, which kinds converts for every class; the keys that
+    class takes are its fields, and those without a default are required."""
+    def convert(obj):
+        given = _block(obj, {"kind": classes.__getitem__, **kinds}, where, ("kind",))
+        cls = given.pop("kind")
+        fields = dataclasses.fields(cls)
+        return cls(**_block(given, {f.name: _later for f in fields}, where,
+                            [f.name for f in fields if f.default is dataclasses.MISSING]))
+    return convert
 
 
-def _parse_signal(obj, where="signal"):
-    _require_keys(obj, {"kind", "value", "values"}, {"kind"}, where)
-    if obj["kind"] == "constant":
-        return ConstantSignal(**_given(obj, {"value": _float}, where))
-    if obj["kind"] == "decaying":
-        return DecayingSignal(_read(obj, "values", _list_of(_float), where))
-    raise ConfigError(f"{where}: unknown signal kind {obj['kind']!r}")
-
+_parse_design = _kind_of(
+    {cls.name: cls for cls in (Independent, ConstantCorrelation, Autoregressive)},
+    {"rho": _float}, "design")
+_parse_signal = _kind_of({"constant": ConstantSignal, "decaying": DecayingSignal},
+                         {"value": _float, "values": _list_of(_float)}, "signal")
 
 # the simulation model, read alike by the simulate block and the grid
 _MODEL = {"s": _int, "signal": _parse_signal, "censoring": _window}
 
 
 def _parse_sim_config(obj, seed_override=None, where="simulate"):
-    kinds = {"n": _int, "p": _int, **_MODEL, "design": _parse_design, "seed": _int}
-    _require_keys(obj, kinds, {"n", "p", "s", "seed"}, where)
-    return SimulationConfig(**_given(obj, kinds, where, seed_override))
+    return SimulationConfig(**_block(
+        obj, {"n": _int, "p": _int, **_MODEL, "design": _parse_design, "seed": _int},
+        where, ("n", "p", "s", "seed"), seed_override))
 
 
-def _parse_solver(obj, where="solver"):
+def _parse_solver(obj):
     """SolverConfig from the keys and value types of its fields."""
-    obj = {} if obj is None else obj
     kinds = {f.name: {int: _int, float: _float}[type(f.default)]
              for f in dataclasses.fields(SolverConfig)}
-    _require_keys(obj, kinds, set(), where)
-    return SolverConfig(**_given(obj, kinds, where))
+    return SolverConfig(**_block(obj, kinds, "solver"))
 
 
 def _parse_penalty(obj, n, p, where="penalty"):
-    _require_keys(obj, {"kind", "lambda", "c", "a", "gamma"}, {"kind"}, where)
-    kind = _read(obj, "kind", str, where)     # PenaltySpec checks the kind
-    if ("lambda" in obj) == ("c" in obj):
-        raise ConfigError(f"{where}: give exactly one of lambda or c")
-    lam = _read(obj, "lambda", _float, where) if "lambda" in obj else \
-        scaled_lambda(_read(obj, "c", _float, where), n, p)
-    return PenaltySpec(kind, lam, **_read_shape(obj, kind, where))
+    given = _block(obj, {"kind": _str, "lambda": _float, "c": _float, "a": _float,
+                         "gamma": _float}, where, ("kind",))
+    if ("lambda" in given) == ("c" in given):
+        raise ConfigError(f"{where}: give exactly one of {where}.lambda or {where}.c")
+    lam = given["lambda"] if "lambda" in given else scaled_lambda(given["c"], n, p)
+    return PenaltySpec(given["kind"], lam, **_shape(given, given["kind"], where))
 
 
-def _read_shape(obj, kind, where):
-    """{"shape": SCAD's a or MCP's gamma} when obj sets it, else {}; the
-    shape key of another kind is a ConfigError."""
+def _shape(given, kind, where):
+    """{"shape": SCAD's a or MCP's gamma} when given sets it, else {}; pops
+    both shape keys from given, and the shape key of another kind is a
+    ConfigError."""
     key = {"scad": "a", "mcp": "gamma"}.get(kind)
-    for other in ("a", "gamma"):
-        if other != key and obj.get(other) is not None:
-            raise ConfigError(f"{where}.{other}: not a shape of the {kind} penalty")
-    return {"shape": value for value in _given(obj, {key: _float}, where).values()}
+    shapes = {other: given.pop(other) for other in ("a", "gamma") if other in given}
+    foreign = sorted(set(shapes) - {key})
+    if foreign:
+        raise ConfigError(f"{where}.{foreign[0]}: not a shape of the {kind} penalty")
+    return {"shape": shapes[key]} if key in shapes else {}
 
 
 def _load_data(obj, seed_override=None, where="data"):
     """Returns (dataset, true_beta or None)."""
-    _require_keys(obj, {"csv", "simulate"}, set(), where)
-    if ("csv" in obj) == ("simulate" in obj):
+    given = _block(obj, {"csv": _str, "simulate": _later}, where)
+    if ("csv" in given) == ("simulate" in given):
         raise ConfigError(f"{where}: give exactly one of csv or simulate")
-    if "csv" in obj:
-        dataset = load_csv(obj["csv"])
-        sidecar = truth_sidecar_path(obj["csv"])
+    if "csv" in given:
+        dataset = load_csv(given["csv"])
+        sidecar = truth_sidecar_path(given["csv"])
         truth = _read_truth(sidecar, dataset.p) if os.path.exists(sidecar) else None
         return dataset, truth
-    sim = _parse_sim_config(obj["simulate"], seed_override)
-    dataset, beta = simulate_dataset(sim)
-    return dataset, beta
+    return simulate_dataset(_parse_sim_config(given["simulate"], seed_override))
 
 
 def _read_truth(path, p):
@@ -221,16 +218,15 @@ def cmd_simulate(cfg, out_dir, seed_override, threads):
 
 
 def cmd_fit(cfg, out_dir, seed_override, threads):
-    _require_keys(cfg, {"data", "algorithm", "penalty", "solver", "seed"},
-                  {"data", "penalty"}, "config")
-    seed = _given(cfg, {"seed": _int}, "config", seed_override).get("seed")
-    dataset, truth = _load_data(cfg["data"], seed)
-    solver_cfg = _parse_solver(cfg.get("solver"))
-    spec = _parse_penalty(cfg["penalty"], dataset.n, dataset.p)
-    algorithm = _given(cfg, {"algorithm": str}, "config").get("algorithm", "tlamm")
+    given = _block(cfg, {"data": _later, "algorithm": _str, "penalty": _later,
+                         "solver": _parse_solver}, "config", ("data", "penalty"))
+    dataset, truth = _load_data(given["data"], seed_override)
+    spec = _parse_penalty(given["penalty"], dataset.n, dataset.p)
+    algorithm = given.get("algorithm", "tlamm")
     if algorithm not in ("tlamm", "ilamm"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    fit = (tlamm if algorithm == "tlamm" else ilamm)(dataset, spec, solver_cfg)
+    fit = (tlamm if algorithm == "tlamm" else ilamm)(
+        dataset, spec, given.get("solver", SolverConfig()))
 
     with open(os.path.join(out_dir, "beta.csv"), "w", encoding="utf-8") as fh:
         fh.write("index,value\n")
@@ -265,16 +261,15 @@ def cmd_fit(cfg, out_dir, seed_override, threads):
 
 
 def cmd_cv(cfg, out_dir, seed_override, threads):
-    _require_keys(cfg, {"data", "penalty_kind", "a", "gamma", "folds",
-                        "c_grid", "solver", "seed"},
-                  {"data", "penalty_kind"}, "config")
-    dataset, _ = _load_data(cfg["data"])
-    kind = _read(cfg, "penalty_kind", str, "config")
-    result = cross_validate(
-        dataset, kind, config=_parse_solver(cfg.get("solver")), threads=threads,
-        **_read_shape(cfg, kind, "config"),
-        **_given(cfg, {"folds": _int, "c_grid": _list_of(_float), "seed": _int},
-                 "config", seed_override))
+    given = _block(cfg, {"data": _later, "penalty_kind": _str, "a": _float,
+                         "gamma": _float, "solver": _parse_solver, "folds": _int,
+                         "c_grid": _list_of(_float), "seed": _int},
+                   "config", ("data", "penalty_kind"), seed_override)
+    dataset, _ = _load_data(given.pop("data"))
+    kind = given.pop("penalty_kind")
+    shape = _shape(given, kind, "config")
+    result = cross_validate(dataset, kind, config=given.pop("solver", SolverConfig()),
+                            threads=threads, **shape, **given)
     with open(os.path.join(out_dir, "cv.csv"), "w", encoding="utf-8") as fh:
         fh.write("c,criterion\n")
         for c, crit in zip(result.c_grid, result.criteria):
@@ -292,28 +287,24 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
 
 
 def _parse_grid(obj, seed_override, solver_cfg, threads):
-    allowed = {"n", "p", "designs", "methods", "reps", "seed", "s", "signal",
-               "censoring", "c_by_penalty", "tune"}
-    _require_keys(obj, allowed, {"n", "p", "methods", "reps"}, "grid")
-    # every value is read before the tuning CV, so a malformed one fails
+    given = _block(obj, {"n": _list_of(_int), "p": _list_of(_int),
+                         "methods": _list_of(_str), "reps": _int, **_MODEL,
+                         "designs": _list_of(_parse_design), "seed": _int,
+                         "c_by_penalty": _float_map, "tune": _later},
+                   "grid", ("n", "p", "methods", "reps"), seed_override)
+    # every value is checked before the tuning CV, so a malformed one fails
     # fast; the methods and the c it tunes join the grid after it
-    methods = _read(obj, "methods", _list_of(str), "grid")
+    methods, tune = given.pop("methods"), given.pop("tune", None)
     kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
-    grid = ExperimentGrid(
-        n_values=_read(obj, "n", _list_of(_int), "grid"),
-        p_values=_read(obj, "p", _list_of(_int), "grid"),
-        methods=(), reps=_read(obj, "reps", _int, "grid"),
-        **_given(obj, {**_MODEL, "designs": _list_of(_parse_design), "seed": _int,
-                       "c_by_penalty": _float_map}, "grid", seed_override))
+    grid = ExperimentGrid(n_values=given.pop("n"), p_values=given.pop("p"),
+                          methods=(), **given)
     c_by_penalty = dict(grid.c_by_penalty)
-    tune = obj.get("tune")
     if tune is not None:
-        tune_keys = {"design": _parse_design, "n": _int, "p": _int, "seed": _int}
-        _require_keys(tune, {*tune_keys, "folds"}, set(), "grid.tune")
+        tune = _block(tune, {"design": _parse_design, "n": _int, "p": _int,
+                             "seed": _int, "folds": _int}, "grid.tune")
+        folds = {"folds": tune.pop("folds")} if "folds" in tune else {}
         tune_data, _ = simulate_dataset(grid.simulation(**{
-            "design": Independent(), "n": 200, "p": 100, "seed": grid.seed,
-            **_given(tune, tune_keys, "grid.tune")}))
-        folds = _given(tune, {"folds": _int}, "grid.tune")
+            "design": Independent(), "n": 200, "p": 100, "seed": grid.seed, **tune}))
         for kind in sorted(kinds - set(c_by_penalty)):
             c_by_penalty[kind] = cross_validate(tune_data, kind, config=solver_cfg,
                                                 seed=grid.seed, threads=threads,
@@ -322,11 +313,9 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
 
 
 def cmd_experiment(cfg, out_dir, seed_override, threads):
-    _require_keys(cfg, {"grid", "solver", "seed"}, {"grid"}, "config")
-    solver_cfg = _parse_solver(cfg.get("solver"))
-    grid = _parse_grid(cfg["grid"],
-                       _given(cfg, {"seed": _int}, "config", seed_override).get("seed"),
-                       solver_cfg, threads)
+    given = _block(cfg, {"grid": _later, "solver": _parse_solver}, "config", ("grid",))
+    solver_cfg = given.get("solver", SolverConfig())
+    grid = _parse_grid(given["grid"], seed_override, solver_cfg, threads)
     result = run_experiment(grid, solver_cfg, threads=threads,
                             out_csv=os.path.join(out_dir, "results.csv"))
     _write_json(os.path.join(out_dir, "summary.json"), {
@@ -348,17 +337,17 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
 
 
 def cmd_diagnose(cfg, out_dir, seed_override, threads):
-    kinds = {"m": _int, "r": _float, "n_beta_samples": _int, "seed": _int}
-    _require_keys(cfg, {"data", "beta_star", *kinds}, {"data", "m", "r"}, "config")
-    dataset, truth = _load_data(cfg["data"])
-    beta_star = _given(cfg, {"beta_star": _list_of(_float)}, "config").get("beta_star", truth)
+    given = _block(cfg, {"data": _later, "beta_star": _list_of(_float), "m": _int,
+                         "r": _float, "n_beta_samples": _int, "seed": _int},
+                   "config", ("data", "m", "r"), seed_override)
+    dataset, truth = _load_data(given.pop("data"))
+    beta_star = given.pop("beta_star", truth)
     if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
     if len(beta_star) != dataset.p:
         raise ConfigError(f"config.beta_star: {len(beta_star)} values, expected "
                           f"p={dataset.p}")
-    report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64),
-                       **_given(cfg, kinds, "config", seed_override))
+    report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64), **given)
     _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())
     return 0
 

@@ -66,6 +66,8 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
         raise CapabilityError(f"m must lie in [1, p]; got m={m}, p={p}")
     if r < 0:
         raise ConfigError(f"radius r must be non-negative, got r={r}")
+    if n_beta_samples < 0:
+        raise ConfigError(f"n_beta_samples must be non-negative, got {n_beta_samples}")
     k = min(m, p)
     n_supports = math.comb(p, k)
     if n_supports > LSE_SUPPORT_CAP:
@@ -126,7 +128,7 @@ def gradient_sup_norm_scaling(reps: int, n: int, p_list, seed: int = 0,
         for rep in range(reps):
             ss = np.random.SeedSequence([int(seed), pi, rep])
             cfg = SimulationConfig(n=n, p=int(p),
-                                   s=None if s is None else max(1, min(s, int(p))),
+                                   s=None if s is None else min(s, int(p)),
                                    signal=None if signal is None else ConstantSignal(signal),
                                    design=design,
                                    seed=int(ss.generate_state(1, np.uint64)[0]))

@@ -240,12 +240,23 @@ class ExperimentGrid:
         for name in ("n_values", "p_values", "designs"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
+        # cells are matched by value and by design name, so none may repeat
+        for name, keys in (("n_values", self.n_values), ("p_values", self.p_values),
+                           ("designs", [d.name for d in self.designs]),
+                           ("methods", self.methods)):
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} must not repeat a value, got {list(keys)}")
         for m in self.methods:
             kind = method_penalty_kind(m)
             if kind is not None and kind not in self.c_by_penalty:
                 raise ConfigError(f"method {m!r} needs c_by_penalty[{kind!r}]")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
+        # every cell's model and penalty levels are checked before any runs
+        for design, n, p in itertools.product(self.designs, self.n_values, self.p_values):
+            self.simulation(design, n, p, 0)
+            for kind, c in self.c_by_penalty.items():
+                PenaltySpec(kind, scaled_lambda(c, n, p))
 
     def simulation(self, design, n: int, p: int, seed: int) -> SimulationConfig:
         """One dataset's SimulationConfig under the grid's model, s clamped to p."""

@@ -280,12 +280,53 @@ def test_exit_code_config_error(tmp_path):
              "penalty": {"kind": "ridge", "c": 0.65}}, "unknown penalty kind 'ridge'"),
     ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "ridge",
             "c_grid": [0.5]}, "unknown penalty kind 'ridge'"),
+    # grid values are checked before results.csv is opened
+    ("experiment", {"grid": {"n": [0], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}}},
+     "n and p must be positive"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "s": 0, "c_by_penalty": {"scad": 0.6}}},
+     "support size s=0"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": -0.6}}},
+     "lambda must be a positive real"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6, "ridge": 1}}},
+     "unknown penalty kind 'ridge'"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
+                  "n_beta_samples": -3}, "n_beta_samples must be non-negative"),
+    # a null key is an absent key; a non-string path or a key of another kind is an error
+    ("fit", {"data": {"csv": None}, "penalty": {"kind": "scad", "c": 0.65}},
+     "data: give exactly one of csv or simulate"),
+    ("fit", {"data": {"csv": 5}, "penalty": {"kind": "scad", "c": 0.65}}, "data.csv"),
+    ("simulate", dict(sim_config(s=2), signal={"kind": "decaying", "values": [1, 0.5],
+                                               "value": 0.8}),
+     "signal: unknown keys ['value']"),
+    ("simulate", dict(sim_config(s=2), signal={"kind": "constant", "values": [1, 0.5]}),
+     "signal: unknown keys ['values']"),
+    # the top-level seed keys are gone: --seed sets data.simulate.seed or grid.seed
+    ("fit", {"data": {"simulate": sim_config()}, "penalty": {"kind": "scad", "c": 0.65},
+             "seed": 3}, "unknown keys ['seed']"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}}, "seed": 3},
+     "unknown keys ['seed']"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not (tmp_path / "x" / "results.csv").exists()
+
+
+def test_null_rho_of_independent_design_is_absent(tmp_path):
+    outputs = []
+    for name, design in (("omit", {"kind": "independent"}),
+                         ("null", {"kind": "independent", "rho": None})):
+        cfg = write_config(tmp_path, f"{name}.json", dict(sim_config(), design=design))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "dataset.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_integral_float_config_value_accepted(tmp_path):
@@ -426,11 +467,10 @@ def _defaults_config(command, mode):
     solver = _optional(mode, solver={"phi0": 0.1, "gamma_u": 2.0, "eps1": 0.002,
                                      "eps2": 0.002, "max_iter_stage": 2000,
                                      "max_phi": 1e12})
-    null_only = {"seed": None} if mode == "null" else {}
     if command == "simulate":
         return sim
     if command == "fit":
-        return {"data": {"simulate": sim}, **solver, **null_only,
+        return {"data": {"simulate": sim}, **solver,
                 "penalty": {"kind": "scad", "c": 0.65, **_optional(mode, a=3.7)},
                 **_optional(mode, algorithm="tlamm")}
     if command == "cv":
@@ -438,7 +478,7 @@ def _defaults_config(command, mode):
                 **_optional(mode, gamma=3.0, folds=3, seed=0,
                             c_grid=[0.05 * k for k in range(1, 21)])}
     if command == "experiment":
-        return {**solver, **null_only, "grid": {
+        return {**solver, "grid": {
             "n": [60], "p": [8], "methods": ["oracle", "tlamm-scad"], "reps": 1,
             "c_by_penalty": {"scad": 0.6},
             **({"tune": None} if mode == "null" else {}),

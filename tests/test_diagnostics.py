@@ -110,6 +110,12 @@ def test_gradient_scaling_null_single_covariate():
     assert med[1] < 0.02
 
 
+def test_gradient_scaling_clamps_s_as_the_grid_does():
+    # s is clamped to p and not raised to 1, so s = 0 is SimulationConfig's error
+    with pytest.raises(ConfigError, match="support size s=0"):
+        gradient_sup_norm_scaling(reps=1, n=20, p_list=[5], s=0)
+
+
 def test_gradient_scaling_in_p():
     table = dict(gradient_sup_norm_scaling(reps=100, n=500, p_list=[10, 1000],
                                            seed=4))

@@ -11,6 +11,7 @@ from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
                       UndefinedMetricError, concordance_index, cross_validate,
                       l2_error, selection_metrics, simulate_dataset)
 from tlammcox import evaluation
+from tlammcox.data import Autoregressive
 from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
                                  default_c_grid, method_penalty_kind,
                                  run_experiment)
@@ -253,6 +254,17 @@ def test_grid_validation():
             ExperimentGrid(**{"n_values": (50,), "p_values": (10,),
                               "designs": (Independent(),), "methods": ("lasso",),
                               "reps": 1, "c_by_penalty": {"lasso": 0.45}, **empty})
+
+
+def test_grid_rejects_repeated_values():
+    # cells are matched by value and design name, so a repeat would merge two
+    base = {"n_values": (50,), "p_values": (10,), "designs": (Independent(),),
+            "methods": ("lasso",), "reps": 1, "c_by_penalty": {"lasso": 0.45}}
+    for name, values in (("n_values", (50, 50)), ("p_values", (10, 10)),
+                         ("methods", ("lasso", "lasso")),
+                         ("designs", (Autoregressive(0.2), Autoregressive(0.8)))):
+        with pytest.raises(ConfigError, match=f"{name} must not repeat"):
+            ExperimentGrid(**{**base, name: values})
 
 
 def test_run_experiment_single_cell(tmp_path):
