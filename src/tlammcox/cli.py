@@ -293,23 +293,25 @@ def _parse_grid(obj, seed_override, solver_cfg, threads):
                          "c_by_penalty": _float_map, "tune": _later},
                    "grid", ("n", "p", "methods", "reps"), seed_override)
     # every value is checked before the tuning CV, so a malformed one fails
-    # fast; the methods and the c it tunes join the grid after it
+    # fast; a kind the CV tunes is held at c = 1 until the CV picks its c
     methods, tune = given.pop("methods"), given.pop("tune", None)
+    c_by_penalty = given.pop("c_by_penalty", {})
     kinds = {evaluation.method_penalty_kind(mth) for mth in methods} - {None}
+    tuned = sorted(kinds - set(c_by_penalty)) if tune is not None else []
     grid = ExperimentGrid(n_values=given.pop("n"), p_values=given.pop("p"),
-                          methods=(), **given)
-    c_by_penalty = dict(grid.c_by_penalty)
+                          methods=methods, **given,
+                          c_by_penalty={**dict.fromkeys(tuned, 1.0), **c_by_penalty})
     if tune is not None:
         tune = _block(tune, {"design": _parse_design, "n": _int, "p": _int,
                              "seed": _int, "folds": _int}, "grid.tune")
         folds = {"folds": tune.pop("folds")} if "folds" in tune else {}
         tune_data, _ = simulate_dataset(grid.simulation(**{
             "design": Independent(), "n": 200, "p": 100, "seed": grid.seed, **tune}))
-        for kind in sorted(kinds - set(c_by_penalty)):
+        for kind in tuned:
             c_by_penalty[kind] = cross_validate(tune_data, kind, config=solver_cfg,
                                                 seed=grid.seed, threads=threads,
                                                 **folds).chosen_c
-    return dataclasses.replace(grid, methods=methods, c_by_penalty=c_by_penalty)
+    return dataclasses.replace(grid, c_by_penalty=c_by_penalty)
 
 
 def cmd_experiment(cfg, out_dir, seed_override, threads):

@@ -32,7 +32,6 @@ __all__ = [
     "generate_covariates",
     "simulate_dataset",
     "build_risk_cache",
-    "censoring_rate",
     "load_csv",
     "save_csv",
 ]
@@ -173,10 +172,6 @@ def build_risk_cache(dataset: SurvivalDataset) -> RiskSetCache:
                                              side="left")
     return RiskSetCache(order=order, event_rows=event_rows,
                         tie_counts=tie_counts, risk_sizes=risk_sizes)
-
-
-def censoring_rate(dataset: SurvivalDataset) -> float:
-    return float(1.0 - dataset.status.mean())
 
 
 # --------------------------------------------------------------- simulator

@@ -1,6 +1,5 @@
-"""Numerical verification tools: finite-difference gradient checks, a
-brute-force localized-sparse-eigenvalue probe on small instances, and the
-gradient sup-norm scaling table.
+"""Numerical verification tools: a brute-force localized-sparse-eigenvalue
+probe on small instances and the gradient sup-norm scaling table.
 
 The probe enumerates supports exhaustively but can only sample the l1 ball
 of coefficient vectors, so rho_plus is a lower bound on the true sup and
@@ -21,8 +20,7 @@ from .data import (ConstantSignal, Design, Independent, SimulationConfig,
                    SurvivalDataset, simulate_dataset)
 from .errors import CapabilityError, ConfigError
 
-__all__ = ["LseReport", "lse_probe", "grad_check",
-           "gradient_sup_norm_scaling"]
+__all__ = ["LseReport", "lse_probe", "gradient_sup_norm_scaling"]
 
 LSE_P_CAP = 20
 LSE_SUPPORT_CAP = 2_000_000
@@ -97,23 +95,6 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     desc = f"center + {len(points) - 1} l1-sphere samples (seed={seed})"
     return LseReport(m=m, r=float(r), rho_minus=rho_minus, rho_plus=rho_plus,
                      probe_count=probes, beta_samples=desc)
-
-
-def grad_check(dataset: SurvivalDataset, beta, h: float = 1e-5,
-               gradient=None) -> float:
-    """Max deviation of the analytic gradient from central differences,
-    scaled by 1 + ||analytic||_inf. `gradient` can inject a replacement
-    vector (negative-control hook)."""
-    obj = CoxObjective(dataset)
-    beta = np.asarray(beta, dtype=np.float64)
-    analytic = obj.gradient(beta) if gradient is None else np.asarray(gradient)
-    fd = np.empty_like(analytic)
-    for j in range(beta.size):
-        e = np.zeros_like(beta)
-        e[j] = h
-        fd[j] = (obj.nll(beta + e) - obj.nll(beta - e)) / (2 * h)
-    scale = 1.0 + float(np.abs(analytic).max())
-    return float(np.abs(analytic - fd).max() / scale)
 
 
 def gradient_sup_norm_scaling(reps: int, n: int, p_list, seed: int = 0,

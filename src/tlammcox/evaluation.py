@@ -236,7 +236,6 @@ class ExperimentGrid:
     censoring: tuple = None
 
     def __post_init__(self):
-        # methods are not checked here: the CLI adds them after building
         for name in ("n_values", "p_values", "designs"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -256,7 +255,10 @@ class ExperimentGrid:
         for design, n, p in itertools.product(self.designs, self.n_values, self.p_values):
             self.simulation(design, n, p, 0)
             for kind, c in self.c_by_penalty.items():
-                PenaltySpec(kind, scaled_lambda(c, n, p))
+                try:
+                    PenaltySpec(kind, scaled_lambda(c, n, p))
+                except ConfigError as exc:
+                    raise ConfigError(f"c_by_penalty[{kind!r}]: {exc}") from None
 
     def simulation(self, design, n: int, p: int, seed: int) -> SimulationConfig:
         """One dataset's SimulationConfig under the grid's model, s clamped to p."""

@@ -6,7 +6,6 @@ once by 3-fold cross-validation on a pinned n=200, p=100 dataset and reused
 by the table, trend, and cost criteria, mirroring the benchmark protocol.
 """
 
-import itertools
 import math
 import time
 
@@ -20,6 +19,8 @@ from tlammcox import (CoxObjective, Independent, SimulationConfig,
 from tlammcox.evaluation import ExperimentGrid, run_experiment
 from tlammcox.penalties import value as penalty_value
 from tlammcox.solver import stage1_lasso, stage2
+from conftest import (brute_force_concordance, central_differences, grid_omega,
+                      random_dataset)
 
 TUNE_DATA_SEED = 101
 TUNE_FOLD_SEED = 5
@@ -42,39 +43,21 @@ def tuned_c():
     return picks
 
 
-def random_small_instance(rng, n_max=50, p_max=8):
-    n = int(rng.integers(5, n_max + 1))
-    p = int(rng.integers(1, p_max + 1))
-    times = rng.exponential(1.0, n) + 1e-3
-    status = (rng.uniform(size=n) > 0.3).astype(int)
-    if status.sum() == 0:
-        status[0] = 1
-    return SurvivalDataset(times, status, rng.standard_normal((n, p)))
-
-
 def test_criterion_01_derivative_correctness():
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
     worst_g, worst_h = 0.0, 0.0
     for _ in range(100):
-        ds = random_small_instance(rng)
+        n, p = int(rng.integers(5, 51)), int(rng.integers(1, 9))
+        ds = random_dataset(rng, n, p)
         obj = CoxObjective(ds)
         beta = rng.standard_normal(ds.p)
         g = obj.gradient(beta)
-        h = 1e-5
-        fd = np.empty(ds.p)
-        for j in range(ds.p):
-            e = np.zeros(ds.p)
-            e[j] = h
-            fd[j] = (obj.nll(beta + e) - obj.nll(beta - e)) / (2 * h)
+        fd = central_differences(obj.nll, beta)
         worst_g = max(worst_g, np.abs(g - fd).max() / (1 + np.abs(g).max()))
         hess = obj.hessian(beta)
-        for j in range(ds.p):
-            e = np.zeros(ds.p)
-            e[j] = h
-            col = (obj.gradient(beta + e) - obj.gradient(beta - e)) / (2 * h)
-            worst_h = max(worst_h,
-                          np.abs(col - hess[:, j]).max() / (1 + np.abs(hess).max()))
+        fd = central_differences(obj.gradient, beta)
+        worst_h = max(worst_h, np.abs(fd - hess).max() / (1 + np.abs(hess).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_g <= 1e-6 and worst_h <= 1e-4 and elapsed < 10
     report(1, "derivative correctness",
@@ -260,17 +243,10 @@ def test_criterion_07_cost_vs_ilamm(tuned_c):
                f"pairs within 20%: {l2_ok} {[(round(a,3), round(b,3)) for a, b in l2_pairs]}")
 
 
-def brute_force_omega_grid(grad, beta, lam, step=0.05):
-    ticks = np.arange(-1.0, 1.0 + step / 2, step)
-    choices = [ticks if b == 0 else np.array([float(np.sign(b))]) for b in beta]
-    best = np.inf
-    for xi in itertools.product(*choices):
-        best = min(best, float(np.abs(grad + lam * np.asarray(xi)).max()))
-    return best
-
-
 def test_criterion_08_omega_oracle_equivalence():
     rng = np.random.default_rng(8008)
+    step = 0.05
+    ticks = np.arange(-1.0, 1.0 + step / 2, step)
     worst = 0.0
     for _ in range(200):
         p = int(rng.integers(1, 5))
@@ -278,7 +254,7 @@ def test_criterion_08_omega_oracle_equivalence():
         grad = rng.standard_normal(p)
         lam = float(rng.uniform(0.2, 2.0))
         w = omega(grad, beta, lam)
-        bf = brute_force_omega_grid(grad, beta, lam, step=0.05)
+        bf = grid_omega(grad, beta, lam, ticks)
         assert w <= bf + 1e-12           # closed form is the exact minimum
         worst = max(worst, (bf - w) / lam)
     ok = worst <= 0.05
@@ -298,19 +274,11 @@ def test_criterion_09_concordance_brute_force():
             status[0] = 1
         ds = SurvivalDataset(times, status, rng.standard_normal((n, 2)))
         beta = rng.standard_normal(2)
-        eta = ds.covariates @ beta
-        conc = disc = 0
-        for i in range(n):
-            for j in range(n):
-                if ds.status[i] == 1 and ds.times[i] < ds.times[j]:
-                    if eta[i] > eta[j]:
-                        conc += 1
-                    elif eta[i] < eta[j]:
-                        disc += 1
-        if conc + disc == 0:
+        expected = brute_force_concordance(beta, ds)
+        if expected is None:
             continue
         total += 1
-        if concordance_index(beta, ds) == conc / (conc + disc):
+        if concordance_index(beta, ds) == expected:
             exact += 1
     # perfectly anti-ordered scores with no censoring
     n = 10

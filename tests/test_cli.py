@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -432,6 +433,23 @@ def test_experiment_tune_block(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "scad" in summary["c_by_penalty"]
     assert 0.05 <= summary["c_by_penalty"]["scad"] <= 1.0
+
+
+def test_repeated_method_is_rejected_before_the_tuning_cv(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return types.SimpleNamespace(chosen_c=0.65)
+
+    monkeypatch.setattr(cli, "cross_validate", count)
+    payload = {"grid": {"n": [80], "p": [10], "methods": ["tlamm-scad", "tlamm-scad"],
+                        "reps": 1, "s": 3, "tune": {"n": 60, "p": 8, "seed": 3}}}
+    cfg = write_config(tmp_path, "tune.json", payload)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    assert "methods must not repeat" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_tune_dataset_uses_the_grid_model(tmp_path, monkeypatch):

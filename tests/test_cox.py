@@ -14,16 +14,7 @@ from tlammcox import (CapabilityError, CoxObjective, DataError,
                       IterationLimitError, NonFiniteError, SimulationConfig,
                       SurvivalDataset, fit_restricted, simulate_dataset)
 from tlammcox.data import ConstantSignal
-from conftest import random_dataset
-
-
-def fd_gradient(obj, beta, h=1e-5):
-    g = np.empty_like(beta)
-    for j in range(beta.size):
-        e = np.zeros_like(beta)
-        e[j] = h
-        g[j] = (obj.nll(beta + e) - obj.nll(beta - e)) / (2 * h)
-    return g
+from conftest import central_differences, random_dataset
 
 
 def test_nll_two_point(two_point):
@@ -70,7 +61,7 @@ def test_gradient_matches_finite_differences():
         obj = CoxObjective(ds)
         beta = rng.standard_normal(ds.p)
         g = obj.gradient(beta)
-        fd = fd_gradient(obj, beta)
+        fd = central_differences(obj.nll, beta)
         assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(g).max())
 
 
@@ -100,12 +91,8 @@ def test_hessian_matches_gradient_differences():
         obj = CoxObjective(ds)
         beta = 0.5 * rng.standard_normal(ds.p)
         hess = obj.hessian(beta)
-        h = 1e-5
-        for j in range(ds.p):
-            e = np.zeros(ds.p)
-            e[j] = h
-            col = (obj.gradient(beta + e) - obj.gradient(beta - e)) / (2 * h)
-            assert np.abs(col - hess[:, j]).max() <= 1e-4 * (1 + np.abs(hess).max())
+        fd = central_differences(obj.gradient, beta)
+        assert np.abs(fd - hess).max() <= 1e-4 * (1 + np.abs(hess).max())
 
 
 def test_hessian_p_cap():

@@ -9,8 +9,7 @@ from tlammcox import (CoxObjective, CsvParseError, DataError, Independent,
                       SimulationConfig, SurvivalDataset, load_csv, save_csv,
                       simulate_dataset)
 from tlammcox.data import (Autoregressive, ConstantCorrelation, ConstantSignal,
-                           DecayingSignal, build_risk_cache, censoring_rate,
-                           generate_covariates)
+                           DecayingSignal, build_risk_cache, generate_covariates)
 from tlammcox.errors import ConfigError
 
 
@@ -60,7 +59,7 @@ def test_simulate_censoring_fraction_band():
         cfg = SimulationConfig(n=400, p=100, s=10, signal=ConstantSignal(0.8),
                                design=Independent(), seed=seed)
         ds, _ = simulate_dataset(cfg)
-        rates.append(censoring_rate(ds))
+        rates.append(1 - ds.status.mean())
     assert 0.40 < float(np.mean(rates)) < 0.60
     assert 0.35 < min(rates) and max(rates) < 0.65
 
@@ -245,14 +244,14 @@ def test_risk_cache_permutation_valid():
 
 def test_censoring_rate_examples():
     ds = SurvivalDataset([1, 2, 3, 4], [0, 0, 1, 1], np.zeros((4, 1)))
-    assert censoring_rate(ds) == 0.5
+    assert 1 - ds.status.mean() == 0.5
     ds = SurvivalDataset([1, 2], [1, 1], np.zeros((2, 1)))
-    assert censoring_rate(ds) == 0.0
+    assert 1 - ds.status.mean() == 0.0
 
 
 def test_censoring_rate_benchmark_band():
-    rates = [censoring_rate(simulate_dataset(
-        SimulationConfig(n=200, p=100, s=10, seed=seed))[0])
+    rates = [1 - simulate_dataset(
+        SimulationConfig(n=200, p=100, s=10, seed=seed))[0].status.mean()
         for seed in range(11, 31)]
     assert 0.40 < float(np.mean(rates)) < 0.65
 
@@ -271,7 +270,7 @@ def test_event_rate_seed_stability():
     rates = []
     for seed in range(50):
         ds, _ = simulate_dataset(SimulationConfig(n=200, p=100, s=10, seed=seed))
-        rates.append(censoring_rate(ds))
+        rates.append(1 - ds.status.mean())
     assert max(rates) - min(rates) < 0.15
 
 

@@ -15,7 +15,7 @@ from tlammcox.data import Autoregressive
 from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
                                  default_c_grid, method_penalty_kind,
                                  run_experiment)
-from conftest import random_dataset
+from conftest import brute_force_concordance, random_dataset
 
 
 def test_l2_error_examples():
@@ -58,22 +58,6 @@ def test_selection_metrics_zero_tol():
     beta = np.array([0.5, 1e-9, 0.0])
     assert selection_metrics(beta, [0], zero_tol=0.0).fp == 1
     assert selection_metrics(beta, [0], zero_tol=1e-6).fp == 0
-
-
-def brute_force_concordance(beta, ds):
-    eta = ds.covariates @ beta
-    conc = disc = 0
-    for i in range(ds.n):
-        for j in range(ds.n):
-            if i == j or ds.times[i] >= ds.times[j] or ds.status[i] != 1:
-                continue
-            if eta[i] > eta[j]:
-                conc += 1
-            elif eta[i] < eta[j]:
-                disc += 1
-    if conc + disc == 0:
-        return None
-    return conc / (conc + disc)
 
 
 def test_concordance_perfectly_ordered():
@@ -265,6 +249,19 @@ def test_grid_rejects_repeated_values():
                          ("designs", (Autoregressive(0.2), Autoregressive(0.8)))):
         with pytest.raises(ConfigError, match=f"{name} must not repeat"):
             ExperimentGrid(**{**base, name: values})
+
+
+def test_grid_names_a_nonpositive_c_by_its_key_and_kind():
+    with pytest.raises(ConfigError, match=r"c_by_penalty\['scad'\]: lambda must be"):
+        ExperimentGrid(n_values=(30,), p_values=(10,), methods=("tlamm-scad",),
+                       reps=1, c_by_penalty={"scad": -0.6})
+
+
+def test_grid_names_an_unknown_c_kind_by_its_key():
+    with pytest.raises(ConfigError,
+                       match=r"c_by_penalty\['ridge'\]: unknown penalty kind 'ridge'"):
+        ExperimentGrid(n_values=(30,), p_values=(10,), methods=("tlamm-scad",),
+                       reps=1, c_by_penalty={"scad": 0.6, "ridge": 1.0})
 
 
 def test_run_experiment_single_cell(tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import math
 
 import numpy as np
@@ -11,25 +10,7 @@ from tlammcox import (ConfigError, CoxObjective, LineSearchError,
                       lasso, mcp, omega, scad, simulate_dataset, tlamm)
 from tlammcox import solver
 from tlammcox.solver import TraceRecord, lamm_step, line_search, stage1_lasso, stage2
-from conftest import random_dataset
-
-
-def brute_force_omega(grad, beta, lam, points=21):
-    """Exhaustive product grid over the l1 subdifferential."""
-    grad = np.asarray(grad, float)
-    beta = np.asarray(beta, float)
-    choices = []
-    for b in beta:
-        if b > 0:
-            choices.append(np.array([1.0]))
-        elif b < 0:
-            choices.append(np.array([-1.0]))
-        else:
-            choices.append(np.linspace(-1.0, 1.0, points))
-    best = np.inf
-    for xi in itertools.product(*choices):
-        best = min(best, np.abs(grad + lam * np.asarray(xi)).max())
-    return best
+from conftest import grid_omega, random_dataset
 
 
 def test_omega_examples():
@@ -41,7 +22,7 @@ def test_omega_examples():
     b = np.array([1.0, 0.0])
     w = omega(g, b, lam)
     assert_allclose(w, lam, rtol=1e-12)
-    assert abs(w - brute_force_omega(g, b, lam, points=201)) <= lam * 0.01
+    assert abs(w - grid_omega(g, b, lam, np.linspace(-1.0, 1.0, 201))) <= lam * 0.01
     # subgradient exactly cancels
     assert omega(np.array([lam]), np.array([-1.0]), lam) == 0.0
 
@@ -54,7 +35,7 @@ def test_omega_matches_brute_force_grid():
         g = rng.standard_normal(p)
         lam = float(rng.uniform(0.2, 2.0))
         w = omega(g, beta, lam)
-        bf = brute_force_omega(g, beta, lam, points=21)
+        bf = grid_omega(g, beta, lam, np.linspace(-1.0, 1.0, 21))
         assert w <= bf + 1e-12
         assert bf - w <= lam * (2 / 20) / 2 + 1e-12   # grid resolution
 
