@@ -22,7 +22,7 @@ from . import evaluation
 from .cox import CoxObjective
 from .data import (Autoregressive, ConstantCorrelation, ConstantSignal,
                    DecayingSignal, Independent, SimulationConfig,
-                   load_csv, save_csv, simulate_dataset, truth_sidecar_path)
+                   load_csv, read_truth, save_csv, simulate_dataset, write_rows)
 from .diagnostics import lse_probe
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (ExperimentGrid, cross_validate, l2_error,
@@ -149,6 +149,8 @@ def _parse_penalty(obj, n, p, where="penalty"):
                          "gamma": _float}, where, ("kind",))
     if ("lambda" in given) == ("c" in given):
         raise ConfigError(f"{where}: give exactly one of {where}.lambda or {where}.c")
+    if p == 1 and "c" in given:
+        raise ConfigError(f"{where}.c: log p = 0 at p = 1, so give {where}.lambda instead")
     lam = given["lambda"] if "lambda" in given else scaled_lambda(given["c"], n, p)
     return PenaltySpec(given["kind"], lam, **_shape(given, given["kind"], where))
 
@@ -171,24 +173,9 @@ def _load_data(obj, seed_override=None, where="data"):
     if ("csv" in given) == ("simulate" in given):
         raise ConfigError(f"{where}: give exactly one of csv or simulate")
     if "csv" in given:
-        dataset = load_csv(given["csv"])
-        sidecar = truth_sidecar_path(given["csv"])
-        truth = _read_truth(sidecar, dataset.p) if os.path.exists(sidecar) else None
-        return dataset, truth
+        dataset = load_csv(given["csv"])      # a replaced cli.load_csv is the one called
+        return dataset, read_truth(given["csv"], dataset.p)
     return simulate_dataset(_parse_sim_config(given["simulate"], seed_override))
-
-
-def _read_truth(path, p):
-    """true_beta of a truth sidecar, which must be JSON holding p numbers."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            truth = np.asarray(json.load(fh)["true_beta"], dtype=np.float64)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"truth sidecar {path}: unreadable ({exc!r})") from exc
-    if truth.shape != (p,):
-        raise DataError(f"truth sidecar {path}: true_beta has shape {truth.shape}, "
-                        f"expected ({p},) for the data's p")
-    return truth
 
 
 def _read_config(path):
@@ -207,13 +194,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_csv(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        write_rows(fh, rows)
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_simulate(cfg, out_dir, seed_override, threads):
     sim = _parse_sim_config(cfg, seed_override, where="config")
     dataset, beta = simulate_dataset(sim)
-    csv_path = os.path.join(out_dir, "dataset.csv")
-    save_csv(dataset, csv_path, true_beta=beta, seed=sim.seed)
+    save_csv(dataset, os.path.join(out_dir, "dataset.csv"), true_beta=beta, seed=sim.seed)
     return 0
 
 
@@ -228,10 +219,8 @@ def cmd_fit(cfg, out_dir, seed_override, threads):
     fit = (tlamm if algorithm == "tlamm" else ilamm)(
         dataset, spec, given.get("solver", SolverConfig()))
 
-    with open(os.path.join(out_dir, "beta.csv"), "w", encoding="utf-8") as fh:
-        fh.write("index,value\n")
-        for j in fit.support:
-            fh.write(f"{j},{float(fit.beta[j])!r}\n")
+    _write_csv(os.path.join(out_dir, "beta.csv"), [("index", "value"), *zip(
+        fit.support.tolist(), fit.beta[fit.support].tolist())])
     fit.trace.write_csv(os.path.join(out_dir, "trace.csv"))
 
     objective = CoxObjective(dataset)
@@ -270,10 +259,8 @@ def cmd_cv(cfg, out_dir, seed_override, threads):
     shape = _shape(given, kind, "config")
     result = cross_validate(dataset, kind, config=given.pop("solver", SolverConfig()),
                             threads=threads, **shape, **given)
-    with open(os.path.join(out_dir, "cv.csv"), "w", encoding="utf-8") as fh:
-        fh.write("c,criterion\n")
-        for c, crit in zip(result.c_grid, result.criteria):
-            fh.write(f"{c!r},{crit!r}\n")
+    _write_csv(os.path.join(out_dir, "cv.csv"),
+               [("c", "criterion"), *zip(result.c_grid, result.criteria)])
     _write_json(os.path.join(out_dir, "summary.json"), {
         "chosen_c": result.chosen_c,
         "chosen_lambda": result.chosen_lambda,
@@ -328,13 +315,9 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
     })
     if (grid.n_values == (300,) and grid.p_values == (2400,)
             and set(grid.methods) == set(evaluation.METHODS)):
-        with open(os.path.join(out_dir, "table1.csv"), "w", encoding="utf-8") as fh:
-            fh.write("method,l2,tp,fp\n")
-            for cell in result.cell_medians:
-                med = cell["median"]
-                if med:
-                    fh.write(f"{cell['method']},{med['l2']!r},{med['tp']!r},"
-                             f"{med['fp']!r}\n")
+        _write_csv(os.path.join(out_dir, "table1.csv"), [("method", "l2", "tp", "fp"), *(
+            (cell["method"], *(cell["median"][k] for k in ("l2", "tp", "fp")))
+            for cell in result.cell_medians if cell["median"])])
     return 5 if result.any_failed else 0
 
 

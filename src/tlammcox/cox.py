@@ -21,6 +21,7 @@ from .errors import (CapabilityError, DataError, IterationLimitError,
 __all__ = ["CoxObjective", "fit_restricted"]
 
 HESSIAN_P_CAP = 500
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 # eta = X[:, S] @ beta[S] when p >= _GATHER_MIN_P and |S| * _GATHER_RATIO <= p,
 # else dense X @ beta: at 300x2400 the gather takes 21 us (|S|=25) to 87 us
 # (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
@@ -123,6 +124,19 @@ class CoxObjective:
         marks[self._risk_last] = self._d / s0
         return marks[::-1].cumsum()[::-1]
 
+    def _risk_weights(self, eta, offset, w, s0):
+        """w * c, at most the event count, in the log domain where c overflows."""
+        if s0[-1] > 2 * self.n / _FLOAT_MAX:   # the marks sum to at most n / min S0
+            return w * self._risk_coefficients(s0)
+        with np.errstate(over="ignore"):
+            c = self._risk_coefficients(s0)
+        if np.isfinite(c[0]):                  # c[0] sums every mark
+            return w * c
+        log_w, last = eta[self.cache.order] - offset, self._risk_last
+        marks = np.full(self.n, -np.inf)       # log d - log S0 at the boundaries
+        marks[last] = np.log(self._d) - np.logaddexp.accumulate(log_w)[last]
+        return np.exp(log_w + np.logaddexp.accumulate(marks[::-1])[::-1])
+
     def _sweep(self, beta, want_value, want_grad):
         """One descending-time sweep, or what of it the last sweep left;
         returns (value or None, grad or None)."""
@@ -137,7 +151,7 @@ class CoxObjective:
                 self._raise_nonfinite("partial likelihood", beta)
         if want_grad and grad is None:
             r = np.empty(self.n)
-            r[self.cache.order] = w * self._risk_coefficients(s0)
+            r[self.cache.order] = self._risk_weights(eta, offset, w, s0)
             grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
             if not np.logical_and.reduce(np.isfinite(grad)):
                 self._raise_nonfinite("gradient", beta)

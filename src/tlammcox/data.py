@@ -265,29 +265,45 @@ def simulate_dataset(config: SimulationConfig):
 
 # ------------------------------------------------------------------ CSV I/O
 
+def write_rows(fh, rows) -> None:
+    """The CSV writer of every table: str gives a float's shortest round-trip repr."""
+    fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def save_csv(dataset: SurvivalDataset, path, true_beta=None, seed=None) -> None:
-    """Write `time,status,x1,...,xp`, floats as shortest round-trip repr so
-    that load_csv gives back the same bits; optionally a `<stem>.truth.json`
-    sidecar holding the generating coefficients and seed."""
-    path = str(path)
+    """Write `time,status,x1,...,xp`, which load_csv reads back bit for bit,
+    and with true_beta a `<stem>.truth.json` sidecar holding it and the seed."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,status," + ",".join(f"x{j+1}" for j in range(dataset.p)) + "\n")
-        # one row of Python floats at a time, so memory is O(p) beyond the data
-        for t, d, row in zip(dataset.times, dataset.status, dataset.covariates):
-            fh.write(f"{t.item()!r},{d.item()},{','.join(map(repr, row.tolist()))}\n")
+        write_rows(fh, [("time", "status", *(f"x{j+1}" for j in range(dataset.p)))])
+        # covariates a row of Python floats at a time: O(n + p) memory, not O(n p)
+        write_rows(fh, ([t, d, *row.tolist()] for t, d, row in zip(
+            dataset.times.tolist(), dataset.status.tolist(), dataset.covariates)))
     if true_beta is not None:
-        sidecar = truth_sidecar_path(path)
         payload = {"true_beta": [float(v) for v in true_beta],
                    "seed": None if seed is None else int(seed)}
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        with open(truth_sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
 
 
 def truth_sidecar_path(csv_path) -> str:
-    csv_path = str(csv_path)
-    stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return stem + ".truth.json"
+    return str(csv_path).removesuffix(".csv") + ".truth.json"
+
+
+def read_truth(csv_path, p):
+    """true_beta, p numbers, from the truth sidecar of csv_path; None without one."""
+    path = truth_sidecar_path(csv_path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            truth = np.asarray(json.load(fh)["true_beta"], dtype=np.float64)
+    except FileNotFoundError:
+        return None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"truth sidecar {path}: unreadable ({exc!r})") from exc
+    if truth.shape != (p,):
+        raise DataError(f"truth sidecar {path}: true_beta has shape {truth.shape}, "
+                        f"expected ({p},) for the data's p")
+    return truth
 
 
 def load_csv(path) -> SurvivalDataset:
@@ -302,12 +318,11 @@ def load_csv(path) -> SurvivalDataset:
         if not header:
             raise DataError(f"{path}: empty file")
         cols = [c.strip() for c in header.rstrip("\n").split(",")]
-        if cols[:2] != ["time", "status"] or len(cols) < 3:
-            raise DataError(f"{path}: header must be time,status,x1,...,xp")
-        expected = ["time", "status"] + [f"x{j+1}" for j in range(len(cols) - 2)]
-        if cols != expected:
-            raise DataError(f"{path}: covariate columns must be x1..x{len(cols)-2} in order")
         p = len(cols) - 2
+        if cols[:2] != ["time", "status"] or p < 1:
+            raise DataError(f"{path}: header must be time,status,x1,...,xp")
+        if cols[2:] != [f"x{j+1}" for j in range(p)]:
+            raise DataError(f"{path}: covariate columns must be x1..x{p} in order")
         times, status, rows = array("d"), array("b"), array("d")
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

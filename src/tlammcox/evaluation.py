@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .cox import CoxObjective, fit_restricted
 from .data import (Independent, Signal, SimulationConfig, SurvivalDataset,
-                   simulate_dataset)
+                   simulate_dataset, write_rows)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
 from .penalties import PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
@@ -33,10 +34,9 @@ __all__ = ["SelectionMetrics", "CvResult", "ExperimentGrid",
 
 CV_CRITERION_NAME = "held_out_partial_likelihood_deviance"
 METHODS = ("oracle", "lasso", "tlamm-scad", "tlamm-mcp", "ilamm-scad", "ilamm-mcp")
-# per-unit metrics: results.csv columns after the unit's keys, and the keys
-# of each cell median
+# cell-median keys; results.csv adds the unit's keys and status, seconds last
 _METRICS = ("l2", "tp", "fp", "sens", "spec", "iters1", "iters2", "seconds")
-_ROW_KEYS = ("design", "penalty", "n", "p", "rep") + _METRICS
+_ROW_KEYS = ("design", "penalty", "n", "p", "rep", *_METRICS[:-1], "status", "seconds")
 EXPERIMENT_CSV_HEADER = ",".join(_ROW_KEYS)
 
 
@@ -45,7 +45,9 @@ def default_c_grid():
 
 
 def scaled_lambda(c: float, n: int, p: int) -> float:
-    """The penalty level lambda = c sqrt(log p / n) of scale c."""
+    """The penalty level lambda = c sqrt(log p / n) of scale c, for p > 1."""
+    if p == 1:
+        raise ConfigError("c cannot set lambda at p = 1, where log p = 0 makes it 0")
     return c * math.sqrt(math.log(p) / n)
 
 
@@ -336,11 +338,6 @@ def _pmap(fn, tasks, threads):
         yield from pool.map(fn, tasks, chunksize=1)
 
 
-def format_row(row) -> str:
-    """One results.csv line; a failed unit has no metrics and reads nan."""
-    return ",".join(str(row.get(key, "nan")) for key in _ROW_KEYS)
-
-
 def run_experiment(grid: ExperimentGrid,
                    config: SolverConfig = SolverConfig(),
                    threads: int = 1, out_csv=None) -> ExperimentResult:
@@ -350,29 +347,22 @@ def run_experiment(grid: ExperimentGrid,
     and the grid seed, once and fits every method on it, so all methods
     see identical data within a rep and results do not depend on the
     thread count. Rows are rep-major (design, n, p, rep, then method, each
-    in grid order) and stream to out_csv rep by rep. Failed units are
-    recorded and skipped in medians; each cell counts in
-    `reps_nonconverged` the fits in its medians whose status is not
-    "converged".
+    in grid order) and stream to out_csv rep by rep, where a failed unit's
+    metrics and status read nan. Failed units are listed in `failures` and
+    skipped in medians; each cell counts in `reps_nonconverged` the fits in
+    its medians whose status is not "converged".
     """
     tasks = [(grid, config, di, design, int(n), int(p), rep)
              for (di, design), n, p, rep in itertools.product(
                  enumerate(grid.designs), grid.n_values, grid.p_values,
                  range(grid.reps))]
-    fh = open(str(out_csv), "w", encoding="utf-8") if out_csv else None
     rows = []
-    try:
-        if fh:
-            fh.write(EXPERIMENT_CSV_HEADER + "\n")
-            fh.flush()
+    with open(out_csv or os.devnull, "w", encoding="utf-8") as fh:
+        write_rows(fh, [_ROW_KEYS])
         for rep_rows in _pmap(_run_rep, tasks, threads):
             rows.extend(rep_rows)
-            if fh:
-                fh.writelines(format_row(row) + "\n" for row in rep_rows)
-                fh.flush()
-    finally:
-        if fh:
-            fh.close()
+            write_rows(fh, ([row.get(key, "nan") for key in _ROW_KEYS] for row in rep_rows))
+            fh.flush()      # a long grid's finished reps persist as it runs
 
     failures = [r for r in rows if "error" in r]
     medians = []
@@ -382,10 +372,8 @@ def run_experiment(grid: ExperimentGrid,
         cell_rows = [r for r in rows
                      if r["design"] == design.name and r["penalty"] == method
                      and r["n"] == n and r["p"] == p and "error" not in r]
-        med = {}
-        if cell_rows:
-            for key in _METRICS:
-                med[key] = float(np.median([r[key] for r in cell_rows]))
+        med = ({key: float(np.median([r[key] for r in cell_rows])) for key in _METRICS}
+               if cell_rows else {})
         medians.append({"design": design.name, "method": method, "n": n,
                         "p": p, "reps_ok": len(cell_rows),
                         "reps_failed": grid.reps - len(cell_rows),

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cox import CoxObjective
-from .data import SurvivalDataset
+from .data import SurvivalDataset, write_rows
 from .errors import ConfigError, LineSearchError, NonFiniteError
 from .penalties import PenaltySpec, derivative, shift_gradient, shift_value, soft_threshold
 
@@ -80,10 +80,9 @@ class SolverTrace:
 
     def write_csv(self, path):
         with open(str(path), "w", encoding="utf-8") as fh:
-            fh.write("stage,iter,F,omega,phi,step_norm,support\n")
-            for r in self.records:
-                fh.write(f"{r.stage},{r.k},{float(r.objective)!r},{float(r.omega)!r},"
-                         f"{float(r.phi)!r},{float(r.step_norm)!r},{r.support}\n")
+            write_rows(fh, [("stage", "iter", "F", "omega", "phi", "step_norm", "support"),
+                            *((r.stage, r.k, *map(float, r[2:6]), r.support)
+                              for r in self.records)])
 
 
 @dataclass

@@ -374,6 +374,21 @@ def test_bad_truth_sidecar_is_a_data_error_before_the_fit(tmp_path, capsys, sim_
     assert not (out / "beta.csv").exists()
 
 
+def test_c_at_one_covariate_exits_2_naming_lambda(tmp_path, capsys):
+    data = {"simulate": dict(sim_config(), p=1, s=1)}
+    cfg = write_config(tmp_path, "p1.json", {"data": data,
+                                             "penalty": {"kind": "scad", "c": 0.65}})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "log p = 0 at p = 1" in err and "penalty.lambda" in err
+    cfg = write_config(tmp_path, "p1l.json", {"data": data,
+                                              "penalty": {"kind": "scad", "lambda": 0.1}})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    cfg = write_config(tmp_path, "p1cv.json", {"data": data, "penalty_kind": "scad"})
+    assert main(["cv", "--config", cfg, "--out", str(tmp_path / "cv")]) == 2
+    assert "log p = 0" in capsys.readouterr().err
+
+
 def test_exit_code_data_error(tmp_path):
     cfg = write_config(tmp_path, "missing.json", {
         "data": {"csv": str(tmp_path / "nope.csv")},

@@ -65,6 +65,55 @@ def test_gradient_matches_finite_differences():
         assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(g).max())
 
 
+def test_gradient_matches_finite_differences_at_n25_p4():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        ds = random_dataset(rng, 25, 4)
+        obj = CoxObjective(ds)
+        beta = rng.standard_normal(4)
+        g = obj.gradient(beta)
+        fd = central_differences(obj.nll, beta)
+        assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(g).max())
+
+
+def test_constant_covariate_gradient_matches_finite_differences():
+    # analytic side is exactly zero; the difference quotient leaves only
+    # cancellation dust
+    ds = SurvivalDataset([1.0, 2.0, 3.0], [1, 1, 0], np.full((3, 2), 0.5))
+    obj = CoxObjective(ds)
+    g = obj.gradient(np.zeros(2))
+    assert_allclose(g, 0.0, atol=1e-12)
+    fd = central_differences(obj.nll, np.zeros(2))
+    assert np.abs(g - fd).max() <= 1e-12 * (1 + np.abs(g).max())
+
+
+def test_finite_differences_detect_a_corrupted_gradient():
+    # negative control: the finite-difference check sees a 0.01 error
+    rng = np.random.default_rng(6)
+    ds = random_dataset(rng, 25, 4)
+    obj = CoxObjective(ds)
+    beta = rng.standard_normal(4)
+    corrupted = obj.gradient(beta) + np.array([0.01, 0, 0, 0])
+    fd = central_differences(obj.nll, beta)
+    assert np.abs(corrupted - fd).max() > 1e-3 * (1 + np.abs(corrupted).max())
+
+
+def test_gradient_where_a_risk_sum_underflows_matches_finite_differences():
+    # eta = (0, 356, -356): the latest risk set's exponential sum is
+    # e^-712, a subnormal, so d / S0 overflows and the gradient is taken
+    # in the log domain
+    ds = SurvivalDataset([1.0, 2.0, 3.0], [1, 1, 1], np.array([[0.0], [1.0], [-1.0]]))
+    obj = CoxObjective(ds)
+    beta = np.array([356.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_allclose(obj.nll(beta), 356.0 / 3, rtol=1e-12)
+        g = obj.gradient(beta)
+        fd = central_differences(obj.nll, beta)
+        assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(g).max())
+        assert_allclose(obj.value_and_gradient(beta.copy())[1], g, rtol=0)
+
+
 def test_hessian_two_point(two_point):
     obj = CoxObjective(two_point)
     # weighted covariate variance 0.25 at t=1, 0 at t=2, averaged over n=2

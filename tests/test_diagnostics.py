@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from tlammcox import (CapabilityError, ConfigError, CoxObjective,
                       SimulationConfig, lse_probe, simulate_dataset)
 from tlammcox.diagnostics import gradient_sup_norm_scaling
-from conftest import central_differences, random_dataset
+from conftest import random_dataset
 
 
 def test_lse_m1_equals_diagonal_extremes():
@@ -69,40 +69,6 @@ def test_lse_positivity_well_sampled():
     rep = lse_probe(ds, beta_star, m=3, r=0.5, n_beta_samples=3, seed=3)
     assert rep.rho_minus > 0.0
     assert rep.to_dict()["m"] == 3
-
-
-def test_grad_check_small_instance():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        ds = random_dataset(rng, 25, 4)
-        obj = CoxObjective(ds)
-        beta = rng.standard_normal(4)
-        g = obj.gradient(beta)
-        fd = central_differences(obj.nll, beta)
-        assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(g).max())
-
-
-def test_grad_check_constant_covariates():
-    # analytic side is exactly zero; the difference quotient leaves only
-    # cancellation dust
-    from tlammcox import SurvivalDataset
-    ds = SurvivalDataset([1.0, 2.0, 3.0], [1, 1, 0], np.full((3, 2), 0.5))
-    obj = CoxObjective(ds)
-    g = obj.gradient(np.zeros(2))
-    assert_allclose(g, 0.0, atol=1e-12)
-    fd = central_differences(obj.nll, np.zeros(2))
-    assert np.abs(g - fd).max() <= 1e-12 * (1 + np.abs(g).max())
-
-
-def test_grad_check_detects_corruption():
-    # negative control: the finite-difference check sees a 0.01 error
-    rng = np.random.default_rng(6)
-    ds = random_dataset(rng, 25, 4)
-    obj = CoxObjective(ds)
-    beta = rng.standard_normal(4)
-    corrupted = obj.gradient(beta) + np.array([0.01, 0, 0, 0])
-    fd = central_differences(obj.nll, beta)
-    assert np.abs(corrupted - fd).max() > 1e-3 * (1 + np.abs(corrupted).max())
 
 
 def test_gradient_scaling_in_n():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
                       l2_error, selection_metrics, simulate_dataset)
 from tlammcox import evaluation
 from tlammcox.data import Autoregressive
+from tlammcox.errors import LineSearchError
 from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
                                  default_c_grid, method_penalty_kind,
                                  run_experiment)
@@ -204,6 +206,16 @@ def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
     assert res.chosen_c == grid[min(rest, key=lambda i: res.criteria[i])]
 
 
+def test_c_at_one_covariate_is_a_config_error_naming_log_p():
+    # lambda = c sqrt(log p / n) is 0 at p = 1 whatever c is
+    ds, _ = simulate_dataset(SimulationConfig(n=40, p=1, s=1, seed=2))
+    with pytest.raises(ConfigError, match="p = 1, where log p = 0"):
+        cross_validate(ds, "scad", c_grid=[0.5, 1.0])
+    with pytest.raises(ConfigError, match=r"c_by_penalty\['scad'\]: .*log p = 0"):
+        ExperimentGrid(n_values=(40,), p_values=(5, 1), methods=("tlamm-scad",),
+                       reps=1, c_by_penalty={"scad": 0.6}, s=1)
+
+
 def test_cross_validate_eventless_fold_error():
     times = np.linspace(1, 2, 9)
     status = np.zeros(9)
@@ -348,6 +360,25 @@ def test_run_experiment_failures_marked(tmp_path):
     assert res.cell_medians[0]["reps_failed"] == 2
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3 and lines[1].endswith("nan")
+
+
+def test_results_csv_carries_each_unit_status(tmp_path, monkeypatch):
+    # the oracle unit is fitted and the TLAMM unit is made to fail
+    def fail(*args):
+        raise LineSearchError("forced")
+
+    monkeypatch.setattr(evaluation, "tlamm", fail)
+    grid = ExperimentGrid(n_values=(60,), p_values=(8,), methods=("oracle", "tlamm-scad"),
+                          reps=1, seed=3, c_by_penalty={"scad": 0.6}, s=3)
+    out = tmp_path / "s.csv"
+    res = run_experiment(grid, SolverConfig(), out_csv=out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-2:] == ["status", "seconds"]
+    assert [(r["penalty"], r["status"]) for r in rows] == [
+        ("oracle", "converged"), ("tlamm-scad", "nan")]
+    assert rows[0]["l2"] == str(res.rows[0]["l2"]) and rows[1]["l2"] == "nan"
+    assert "status" not in res.cell_medians[0]["median"]
 
 
 def test_oracle_method_row():
