@@ -27,6 +27,9 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 # (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
 _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
+# event rows gathered per block when summing them: an n_events x p gather
+# would cost 61% of X at 300x2400, a block of 16 rows 0.3 MB
+_SUM_ROWS = 16
 # dataset -> _prepare's tuple; an entry is freed with its dataset and, being
 # module state, never travels with a dataset pickled into a pool task
 _PREPARED = weakref.WeakKeyDictionary()
@@ -39,12 +42,30 @@ def _prepare(dataset):
     prepared = _PREPARED.get(dataset)
     if prepared is None:
         cache = build_risk_cache(dataset)
-        prepared = (cache, dataset.covariates[cache.event_rows].sum(axis=0),
+        prepared = (cache, _row_sum(dataset.covariates, cache.event_rows),
                     cache.tie_counts.astype(np.float64), cache.risk_sizes - 1)
         for a in (*vars(cache).values(), *prepared[1:]):
             a.setflags(write=False)
         _PREPARED[dataset] = prepared
     return prepared
+
+
+def _row_sum(x, rows):
+    """x[rows].sum(axis=0) with the same bits, gathering _SUM_ROWS rows at a
+    time. numpy sums axis 0 of a C-ordered array one row after another, so
+    a block led by the running sum continues the same chain of adds; with
+    one column it sums pairwise instead, and that gather is O(n) anyway."""
+    if x.shape[1] < 2 or rows.size <= _SUM_ROWS:
+        return x[rows].sum(axis=0)
+    total = x[rows[:_SUM_ROWS]].sum(axis=0)
+    buf = np.empty((_SUM_ROWS + 1, x.shape[1]))
+    for start in range(_SUM_ROWS, rows.size, _SUM_ROWS):
+        block = rows[start:start + _SUM_ROWS]
+        buf[0] = total
+        # the rows are in range; under the default mode="raise" take buffers out
+        np.take(x, block, axis=0, out=buf[1:block.size + 1], mode="clip")
+        total = buf[:block.size + 1].sum(axis=0)
+    return total
 
 
 class CoxObjective:
@@ -124,14 +145,16 @@ class CoxObjective:
         marks[self._risk_last] = self._d / s0
         return marks[::-1].cumsum()[::-1]
 
-    def _risk_weights(self, eta, offset, w, s0):
-        """w * c, at most the event count, in the log domain where c overflows."""
+    def _finite_coefficients(self, s0):
+        """The risk coefficients c, or None where they overflow."""
         if s0[-1] > 2 * self.n / _FLOAT_MAX:   # the marks sum to at most n / min S0
-            return w * self._risk_coefficients(s0)
+            return self._risk_coefficients(s0)
         with np.errstate(over="ignore"):
             c = self._risk_coefficients(s0)
-        if np.isfinite(c[0]):                  # c[0] sums every mark
-            return w * c
+        return c if np.isfinite(c[0]) else None  # c[0] sums every mark
+
+    def _log_risk_weights(self, eta, offset):
+        """w * c taken in the log domain, finite where c overflows."""
         log_w, last = eta[self.cache.order] - offset, self._risk_last
         marks = np.full(self.n, -np.inf)       # log d - log S0 at the boundaries
         marks[last] = np.log(self._d) - np.logaddexp.accumulate(log_w)[last]
@@ -151,7 +174,8 @@ class CoxObjective:
                 self._raise_nonfinite("partial likelihood", beta)
         if want_grad and grad is None:
             r = np.empty(self.n)
-            r[self.cache.order] = self._risk_weights(eta, offset, w, s0)
+            c = self._finite_coefficients(s0)   # w * c is at most the event count
+            r[self.cache.order] = self._log_risk_weights(eta, offset) if c is None else w * c
             grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
             if not np.logical_and.reduce(np.isfinite(grad)):
                 self._raise_nonfinite("gradient", beta)
@@ -181,19 +205,24 @@ class CoxObjective:
 
             H = (X_o^T diag(w c) X_o - Xbar^T diag(d) Xbar) / n,
 
-        with c the risk coefficients of the gradient and Xbar the prefix
-        sums of w X_o at each group's risk boundary over S0. O(n p^2) time,
-        O(n p) memory. Used by `fit_restricted`'s Newton steps and by the
-        curvature diagnostics; capped at p <= p_cap."""
+        with c the risk coefficients of the gradient (w c from the log
+        domain where c overflows) and Xbar the prefix sums of w X_o at each
+        group's risk boundary over S0. O(n p^2) time, O(n p) memory. Used
+        by `fit_restricted`'s Newton steps and by the curvature
+        diagnostics; capped at p <= p_cap."""
         if self.p > p_cap:
             raise CapabilityError(
                 f"hessian materialization capped at p <= {p_cap}, got p = {self.p}")
-        w, s0 = self._state(beta)[4:6]
+        eta, offset, w, s0 = self._state(beta)[2:6]
         x_ord = self.dataset.covariates[self.cache.order]
         with np.errstate(divide="ignore", invalid="ignore"):
             weighted = x_ord * w[:, None]
             xbar = weighted.cumsum(axis=0)[self._risk_last] / s0[:, None]
-            weighted *= self._risk_coefficients(s0)[:, None]
+            c = self._finite_coefficients(s0)
+            if c is not None:
+                weighted *= c[:, None]
+            else:
+                weighted = x_ord * self._log_risk_weights(eta, offset)[:, None]
             h = (weighted.T @ x_ord - (xbar * self._d[:, None]).T @ xbar) / self.n
         if not np.all(np.isfinite(h)):
             self._raise_nonfinite("hessian", beta)

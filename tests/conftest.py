@@ -1,6 +1,9 @@
-"""Shared fixtures and the one brute-force or finite-difference reference
-for each quantity the tests check against: omega, the Cox derivatives and
-Harrell's C."""
+"""Shared fixtures, the traced-memory probe, and the one brute-force,
+finite-difference or direct-formula reference for each quantity the tests
+check against: omega, the Cox derivatives, Harrell's C, the event-row
+covariate sum and the correlated designs."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,3 +64,38 @@ def brute_force_concordance(beta, ds):
     if conc + disc == 0:
         return None
     return conc / (conc + disc)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn() runs (numpy
+    registers its buffers with it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def event_row_sum(x, event_rows):
+    """Sum of the covariate rows of the events, from the whole gather."""
+    return x[event_rows].sum(axis=0)
+
+
+def constant_correlation_design(rho, n, p, seed):
+    """x = sqrt(rho) z 1 + sqrt(1-rho) eps, drawing z then eps."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 1))
+    eps = rng.standard_normal((n, p))
+    return np.sqrt(rho) * z + np.sqrt(1.0 - rho) * eps
+
+
+def autoregressive_design(rho, n, p, seed):
+    """x_1 = eps_1, x_j = rho x_{j-1} + sqrt(1-rho^2) eps_j, into a new array."""
+    eps = np.random.default_rng(seed).standard_normal((n, p))
+    x = np.empty((n, p))
+    x[:, 0] = eps[:, 0]
+    scale = np.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        x[:, j] = rho * x[:, j - 1] + scale * eps[:, j]
+    return x

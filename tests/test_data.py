@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from tlammcox import (CoxObjective, CsvParseError, DataError, Independent,
 from tlammcox.data import (Autoregressive, ConstantCorrelation, ConstantSignal,
                            DecayingSignal, build_risk_cache, generate_covariates)
 from tlammcox.errors import ConfigError
+from conftest import autoregressive_design, constant_correlation_design, traced_peak
 
 
 def pairwise_corr(x):
@@ -143,13 +143,27 @@ def test_save_csv_memory_does_not_grow_with_n(tmp_path):
     # rows are formatted one at a time; the whole 20000 x 20 matrix as
     # Python floats would take about 15 MB
     ds, _ = simulate_dataset(SimulationConfig(n=20000, p=20, s=5, seed=8))
-    tracemalloc.start()
-    try:
-        save_csv(ds, tmp_path / "big.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert traced_peak(lambda: save_csv(ds, tmp_path / "big.csv")) < 4e6
+
+
+def test_dataset_checks_its_design_without_a_copy():
+    # an n x p finiteness mask would take 0.72 MB of this 5.76 MB design
+    ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=8))
+    assert traced_peak(lambda: SurvivalDataset(ds.times, ds.status, ds.covariates)) < 0.1e6
+
+
+@pytest.mark.parametrize("design, reference", [
+    (ConstantCorrelation, constant_correlation_design),
+    (Autoregressive, autoregressive_design),
+])
+def test_correlated_design_built_in_its_draw(design, reference):
+    # the bytes of the direct formula, with one n x p array alive at a time
+    for rho, (n, p), seed in [(0.0, (40, 7), 1), (0.2, (300, 240), 2),
+                              (0.5, (1, 30), 3), (0.95, (25, 1), 4)]:
+        x = generate_covariates(design(rho), n, p, seed)
+        assert x.tobytes() == reference(rho, n, p, seed).tobytes()
+    nbytes = 1000 * 300 * 8
+    assert traced_peak(lambda: generate_covariates(design(0.5), 1000, 300, 5)) <= 1.05 * nbytes
 
 
 @pytest.mark.parametrize("row,match", [
@@ -283,5 +297,16 @@ def test_dataset_validation():
         SurvivalDataset([1.0], [1, 1], np.zeros((2, 1)))
     with pytest.raises(DataError):
         SurvivalDataset([1.0, np.inf], [1, 1], np.zeros((2, 1)))
-    with pytest.raises(DataError):
-        SurvivalDataset([1.0, 2.0], [1, 1], np.array([[0.0], [np.nan]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariate_rejected(bad):
+    x = np.zeros((3, 2))
+    x[1, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        SurvivalDataset([1.0, 2.0, 3.0], [1, 0, 1], x)
+
+
+def test_design_without_covariates_is_constructible():
+    ds = SurvivalDataset([1.0, 2.0], [1, 0], np.empty((2, 0)))
+    assert (ds.n, ds.p, ds.n_events) == (2, 0, 1)

@@ -1,7 +1,6 @@
 import concurrent.futures
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from tlammcox.errors import LineSearchError
 from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
                                  default_c_grid, method_penalty_kind,
                                  run_experiment)
-from conftest import brute_force_concordance, random_dataset
+from conftest import brute_force_concordance, random_dataset, traced_peak
 
 
 def test_l2_error_examples():
@@ -139,13 +138,7 @@ def test_concordance_memory_linear_in_n():
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, 20000, 5)
     beta = rng.standard_normal(5)
-    tracemalloc.start()
-    try:
-        concordance_index(beta, ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert traced_peak(lambda: concordance_index(beta, ds)) < 16e6
 
 
 def test_default_c_grid():
