@@ -184,6 +184,8 @@ def _read_config(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -279,9 +280,10 @@ def save_csv(dataset: SurvivalDataset, path, true_beta=None, seed=None) -> None:
     and with true_beta a `<stem>.truth.json` sidecar holding it and the seed."""
     with open(path, "w", encoding="utf-8") as fh:
         write_rows(fh, [("time", "status", *(f"x{j+1}" for j in range(dataset.p)))])
-        # covariates a row of Python floats at a time: O(n + p) memory, not O(n p)
-        write_rows(fh, ([t, d, *row.tolist()] for t, d, row in zip(
-            dataset.times.tolist(), dataset.status.tolist(), dataset.covariates)))
+        # a row of Python numbers at a time: O(n + p) memory, not O(n p); for
+        # a float or an int repr is write_rows' str without the type call
+        fh.writelines(",".join(map(repr, [t, d, *row.tolist()])) + "\n" for t, d, row in zip(
+            dataset.times.tolist(), dataset.status.tolist(), dataset.covariates))
     if true_beta is not None:
         payload = {"true_beta": [float(v) for v in true_beta],
                    "seed": None if seed is None else int(seed)}
@@ -317,39 +319,81 @@ def load_csv(path) -> SurvivalDataset:
         fh = open(str(path), "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        header = fh.readline()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        cols = [c.strip() for c in header.rstrip("\n").split(",")]
-        p = len(cols) - 2
-        if cols[:2] != ["time", "status"] or p < 1:
-            raise DataError(f"{path}: header must be time,status,x1,...,xp")
-        if cols[2:] != [f"x{j+1}" for j in range(p)]:
-            raise DataError(f"{path}: covariate columns must be x1..x{p} in order")
-        times, status, rows = array("d"), array("b"), array("d")
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != p + 2:
-                raise CsvParseError(lineno, f"expected {p + 2} fields, got {len(parts)}")
+    try:
+        with fh:
+            header = fh.readline()
+            if not header:
+                raise DataError(f"{path}: empty file")
+            cols = [c.strip() for c in header.rstrip("\n").split(",")]
+            p = len(cols) - 2
+            if cols[:2] != ["time", "status"] or p < 1:
+                raise DataError(f"{path}: header must be time,status,x1,...,xp")
+            if cols[2:] != [f"x{j+1}" for j in range(p)]:
+                raise DataError(f"{path}: covariate columns must be x1..x{p} in order")
+            body = fh.tell()
+            # decode the body once to bound its rows by its lines, so numpy
+            # allocates the table once instead of growing it
+            lines = 1 + sum(chunk.count("\n") for chunk in iter(lambda: fh.read(1 << 16), ""))
+            fh.seek(body)
             try:
-                vals = list(map(float, parts))
-            except ValueError:
-                raise CsvParseError(lineno, "non-numeric field") from None
-            if not all(map(math.isfinite, vals)):
-                raise CsvParseError(lineno, "non-finite value")
-            t, d = vals[0], vals[1]
-            if t <= 0:
-                raise CsvParseError(lineno, f"time must be > 0, got {t}")
-            if d not in (0.0, 1.0):
-                raise CsvParseError(lineno, f"status must be 0 or 1, got {d}")
-            times.append(t)
-            status.append(int(d))
-            rows.extend(vals[2:])
-        if not times:
-            raise DataError(f"{path}: no data rows")
+                return _parse_table(fh, p, lines)
+            except (ValueError, Warning):       # DataError is a ValueError
+                # the row loop names the first bad row, or reads what only
+                # float() takes (a whitespace-only line, "1_0")
+                fh.seek(body)
+                return _parse_rows(fh, p, path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+_MOVE_ELEMENTS = 4096      # covariates moved per block: 32 KB of buffered overlap
+
+
+def _parse_table(fh, p, max_rows) -> SurvivalDataset:
+    """The body by numpy's C reader, whose float parse is float()'s; it
+    raises (or, for a body without rows, warns) on anything else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+    n, width = table.shape
+    if width != p + 2:
+        raise DataError(f"expected {p + 2} fields, got {width}")
+    times, status = table[:, 0].copy(), table[:, 1].copy()
+    # shift each row's covariates to the front of the table's own buffer,
+    # so the design is a view and never exists twice
+    flat = table.reshape(-1)
+    rows = max(1, _MOVE_ELEMENTS // p)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        flat[a * p:b * p].reshape(b - a, p)[...] = table[a:b, 2:]
+    return SurvivalDataset(times, status, flat[:n * p].reshape(n, p))
+
+
+def _parse_rows(fh, p, path) -> SurvivalDataset:
+    """The body a line at a time, naming the first bad row."""
+    times, status, rows = array("d"), array("b"), array("d")
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != p + 2:
+            raise CsvParseError(lineno, f"expected {p + 2} fields, got {len(parts)}")
+        try:
+            vals = list(map(float, parts))
+        except ValueError:
+            raise CsvParseError(lineno, "non-numeric field") from None
+        if not all(map(math.isfinite, vals)):
+            raise CsvParseError(lineno, "non-finite value")
+        t, d = vals[0], vals[1]
+        if t <= 0:
+            raise CsvParseError(lineno, f"time must be > 0, got {t}")
+        if d not in (0.0, 1.0):
+            raise CsvParseError(lineno, f"status must be 0 or 1, got {d}")
+        times.append(t)
+        status.append(int(d))
+        rows.extend(vals[2:])
+    if not times:
+        raise DataError(f"{path}: no data rows")
     return SurvivalDataset(np.frombuffer(times), np.frombuffer(status, dtype=np.int8),
                            np.frombuffer(rows).reshape(-1, p))

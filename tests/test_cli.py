@@ -396,6 +396,22 @@ def test_exit_code_data_error(tmp_path):
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
 
 
+def test_csv_that_is_not_utf8_exits_3(tmp_path, capsys):
+    csv = tmp_path / "cp1252.csv"
+    csv.write_bytes(b"time,status,x1\n1.0,1,0\x96\n")     # a cp1252 dash
+    cfg = write_config(tmp_path, "fit.json", {
+        "data": {"csv": str(csv)}, "penalty": {"kind": "lasso", "lambda": 0.1}})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cp1252.json"
+    cfg.write_bytes(json.dumps(sim_config()).encode()[:-1] + b', "note": "a\x96b"}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_exit_code_solver_failure(tmp_path, sim_out):
     cfg = write_config(tmp_path, "sf.json", {
         "data": {"csv": str(sim_out / "dataset.csv")},

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tlammcox import (CoxObjective, CsvParseError, DataError, Independent,
-                      SimulationConfig, SurvivalDataset, load_csv, save_csv,
+                      SimulationConfig, SurvivalDataset, data, load_csv, save_csv,
                       simulate_dataset)
 from tlammcox.data import (Autoregressive, ConstantCorrelation, ConstantSignal,
                            DecayingSignal, build_risk_cache, generate_covariates)
@@ -139,6 +141,67 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert back.covariates.shape == (2000, 20)
 
 
+def test_save_csv_bytes_are_pinned(tmp_path):
+    # the digest of write_rows' str output, which the repr data rows must keep
+    ds, _ = simulate_dataset(SimulationConfig(n=500, p=30, seed=3))
+    path = tmp_path / "pin.csv"
+    save_csv(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "63e49dae32dd1e70d039e77c2aab2f804b701ad3afa1a6f26cddfccb35806418")
+    back = load_csv(path)
+    for got, want in ((back.times, ds.times), (back.status, ds.status),
+                      (back.covariates, ds.covariates)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert back.covariates.flags.c_contiguous
+
+
+def test_clean_csv_skips_the_row_loop(tmp_path, monkeypatch):
+    ds, _ = simulate_dataset(SimulationConfig(n=50, p=4, s=2, seed=1))
+    path = tmp_path / "clean.csv"
+    save_csv(ds, path)
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran on a clean file")
+    monkeypatch.setattr(data, "_parse_rows", row_loop)
+    assert load_csv(path).covariates.tobytes() == ds.covariates.tobytes()
+
+
+def test_csv_blank_lines_and_padding_load_as_the_clean_file(tmp_path):
+    clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+    clean.write_text("time,status,x1,x2\n1.5,1,0.25,-1.0\n2.0,0,0.5,2.0\n0.75,1,-3.0,0.0\n")
+    padded.write_text("time,status,x1,x2\n1.5,1,0.25,-1.0\n\n2.0, 0 ,0.5,2.0\n \t \n"
+                      "0.75,1,  -3.0,0.0\n")
+    a, b = load_csv(clean), load_csv(padded)
+    for got, want in ((b.times, a.times), (b.status, a.status), (b.covariates, a.covariates)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_csv_header_only_file_has_no_data_rows(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("time,status,x1,x2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(path)
+
+
+def test_csv_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes(b"time,status,x1\n1.0,1,0\x96\n")     # a cp1252 dash
+    with pytest.raises(DataError, match="not UTF-8") as exc:
+        load_csv(path)
+    assert str(path) in str(exc.value)
+
+
+def test_load_csv_holds_one_design(tmp_path):
+    # the parsed (n, p + 2) table becomes the design in place; a second
+    # n x p copy would put the peak near 2x
+    ds, _ = simulate_dataset(SimulationConfig(n=20000, p=20, s=5, seed=8))
+    path = tmp_path / "big.csv"
+    save_csv(ds, path)
+    assert traced_peak(lambda: load_csv(path)) <= 1.25 * ds.covariates.nbytes
+
+
 def test_save_csv_memory_does_not_grow_with_n(tmp_path):
     # rows are formatted one at a time; the whole 20000 x 20 matrix as
     # Python floats would take about 15 MB
@@ -173,13 +236,16 @@ def test_correlated_design_built_in_its_draw(design, reference):
     ("1.0,1,0.1", "fields"),
     ("1.0,1,abc,0.2", "non-numeric"),
     ("1.0,1,inf,0.2\n2.0,0,abc,0.2", "non-finite"),   # first bad row wins
+    ("1.0,1,0.1,0.2,", "fields"),
+    ("\n1.0,1,abc,0.2", "non-numeric"),                # a blank line counts as a row
 ])
 def test_csv_parse_errors_cite_row(tmp_path, row, match):
     path = tmp_path / "bad.csv"
     path.write_text(f"time,status,x1,x2\n1.0,1,0.0,0.0\n{row}\n")
-    with pytest.raises(CsvParseError, match="row 2") as exc:
+    bad = 2 + len(row) - len(row.lstrip("\n"))
+    with pytest.raises(CsvParseError, match=f"row {bad}") as exc:
         load_csv(path)
-    assert match in str(exc.value) and exc.value.row == 2
+    assert match in str(exc.value) and exc.value.row == bad
 
 
 def test_csv_missing_file_and_header():
