@@ -4,7 +4,8 @@ analytic gradient and Hessian, and the support-restricted Newton fit.
 All sums run over subjects sorted by descending time, so every risk set is
 a prefix of that ordering. Tied event times share one risk set and
 contribute a summed linear term (Breslow). Exponentials are offset by the
-sample-wide max of eta before accumulation.
+sample-wide max of eta before accumulation. The gradient is the Cox score
+X^T (w c - delta) / n: the covariates times the martingale residuals.
 """
 
 from __future__ import annotations
@@ -27,45 +28,23 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 # (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
 _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
-# event rows gathered per block when summing them: an n_events x p gather
-# would cost 61% of X at 300x2400, a block of 16 rows 0.3 MB
-_SUM_ROWS = 16
 # dataset -> _prepare's tuple; an entry is freed with its dataset and, being
 # module state, never travels with a dataset pickled into a pool task
 _PREPARED = weakref.WeakKeyDictionary()
 
 
 def _prepare(dataset):
-    """(risk cache, event-row covariate sum, tie counts as floats, prefix
-    end of each group's risk set) of `dataset`, computed on first use and
-    kept until the dataset is freed; the arrays are read-only."""
+    """(risk cache, tie counts as floats, prefix end of each group's risk
+    set) of `dataset`, computed on first use and kept until the dataset is
+    freed; the arrays are read-only."""
     prepared = _PREPARED.get(dataset)
     if prepared is None:
         cache = build_risk_cache(dataset)
-        prepared = (cache, _row_sum(dataset.covariates, cache.event_rows),
-                    cache.tie_counts.astype(np.float64), cache.risk_sizes - 1)
+        prepared = (cache, cache.tie_counts.astype(np.float64), cache.risk_sizes - 1)
         for a in (*vars(cache).values(), *prepared[1:]):
             a.setflags(write=False)
         _PREPARED[dataset] = prepared
     return prepared
-
-
-def _row_sum(x, rows):
-    """x[rows].sum(axis=0) with the same bits, gathering _SUM_ROWS rows at a
-    time. numpy sums axis 0 of a C-ordered array one row after another, so
-    a block led by the running sum continues the same chain of adds; with
-    one column it sums pairwise instead, and that gather is O(n) anyway."""
-    if x.shape[1] < 2 or rows.size <= _SUM_ROWS:
-        return x[rows].sum(axis=0)
-    total = x[rows[:_SUM_ROWS]].sum(axis=0)
-    buf = np.empty((_SUM_ROWS + 1, x.shape[1]))
-    for start in range(_SUM_ROWS, rows.size, _SUM_ROWS):
-        block = rows[start:start + _SUM_ROWS]
-        buf[0] = total
-        # the rows are in range; under the default mode="raise" take buffers out
-        np.take(x, block, axis=0, out=buf[1:block.size + 1], mode="clip")
-        total = buf[:block.size + 1].sum(axis=0)
-    return total
 
 
 class CoxObjective:
@@ -74,8 +53,8 @@ class CoxObjective:
 
     The instance is read-only over the dataset and reuses earlier work:
 
-    - the risk cache and event-row covariate sum are computed once per
-      dataset and shared by every objective on it;
+    - the risk cache is computed once per dataset and shared by every
+      objective on it;
     - the last sweep (eta, its offset, exp weights, risk sums, value and
       gradient) serves a later call made with the same array object whose
       bytes have not changed since, so a gradient at a point whose value
@@ -95,7 +74,7 @@ class CoxObjective:
         self.dataset = dataset
         self.n = dataset.n
         self.p = dataset.p
-        self.cache, self._x_event_sum, self._d, self._risk_last = _prepare(dataset)
+        self.cache, self._d, self._risk_last = _prepare(dataset)
         self._last_sweep = None    # (beta, its bytes, eta, offset, w, s0, value, grad)
         self._last_gather = None   # (support bytes, X[:, support])
 
@@ -137,21 +116,20 @@ class CoxObjective:
         self._last_gather = (key, block)
         return block
 
-    def _risk_coefficients(self, s0):
-        """c_q = sum over groups whose risk prefix covers sorted position q
-        of d_g / S0_g: a reverse cumsum of boundary marks (boundaries are
-        distinct), in descending-time order."""
+    def _risk_weights(self, eta, offset, w, s0):
+        """w_q c_q in descending-time order, with c_q the sum of d_g / S0_g
+        over the groups whose risk prefix covers position q: a reverse
+        cumsum of boundary marks (boundaries are distinct). Taken in the
+        log domain where c overflows; w c is at most the event count."""
         marks = np.zeros(self.n)
-        marks[self._risk_last] = self._d / s0
-        return marks[::-1].cumsum()[::-1]
-
-    def _finite_coefficients(self, s0):
-        """The risk coefficients c, or None where they overflow."""
         if s0[-1] > 2 * self.n / _FLOAT_MAX:   # the marks sum to at most n / min S0
-            return self._risk_coefficients(s0)
+            marks[self._risk_last] = self._d / s0
+            return w * marks[::-1].cumsum()[::-1]
         with np.errstate(over="ignore"):
-            c = self._risk_coefficients(s0)
-        return c if np.isfinite(c[0]) else None  # c[0] sums every mark
+            marks[self._risk_last] = self._d / s0
+            c = marks[::-1].cumsum()[::-1]
+        # c[0] sums every mark
+        return w * c if np.isfinite(c[0]) else self._log_risk_weights(eta, offset)
 
     def _log_risk_weights(self, eta, offset):
         """w * c taken in the log domain, finite where c overflows."""
@@ -173,10 +151,11 @@ class CoxObjective:
             if not math.isfinite(value):
                 self._raise_nonfinite("partial likelihood", beta)
         if want_grad and grad is None:
+            # the martingale residuals w c - delta, in data order
             r = np.empty(self.n)
-            c = self._finite_coefficients(s0)   # w * c is at most the event count
-            r[self.cache.order] = self._log_risk_weights(eta, offset) if c is None else w * c
-            grad = (self.dataset.covariates.T @ r - self._x_event_sum) / self.n
+            r[self.cache.order] = self._risk_weights(eta, offset, w, s0)
+            r -= self.dataset.status
+            grad = self.dataset.covariates.T @ r / self.n
             if not np.logical_and.reduce(np.isfinite(grad)):
                 self._raise_nonfinite("gradient", beta)
         self._last_sweep = (beta, key, eta, offset, w, s0, value, grad)
@@ -205,11 +184,10 @@ class CoxObjective:
 
             H = (X_o^T diag(w c) X_o - Xbar^T diag(d) Xbar) / n,
 
-        with c the risk coefficients of the gradient (w c from the log
-        domain where c overflows) and Xbar the prefix sums of w X_o at each
-        group's risk boundary over S0. O(n p^2) time, O(n p) memory. Used
-        by `fit_restricted`'s Newton steps and by the curvature
-        diagnostics; capped at p <= p_cap."""
+        with w c the risk weights of the gradient and Xbar the prefix sums
+        of w X_o at each group's risk boundary over S0. O(n p^2) time,
+        O(n p) memory. Used by `fit_restricted`'s Newton steps and by the
+        curvature diagnostics; capped at p <= p_cap."""
         if self.p > p_cap:
             raise CapabilityError(
                 f"hessian materialization capped at p <= {p_cap}, got p = {self.p}")
@@ -218,11 +196,7 @@ class CoxObjective:
         with np.errstate(divide="ignore", invalid="ignore"):
             weighted = x_ord * w[:, None]
             xbar = weighted.cumsum(axis=0)[self._risk_last] / s0[:, None]
-            c = self._finite_coefficients(s0)
-            if c is not None:
-                weighted *= c[:, None]
-            else:
-                weighted = x_ord * self._log_risk_weights(eta, offset)[:, None]
+            np.multiply(x_ord, self._risk_weights(eta, offset, w, s0)[:, None], out=weighted)
             h = (weighted.T @ x_ord - (xbar * self._d[:, None]).T @ xbar) / self.n
         if not np.all(np.isfinite(h)):
             self._raise_nonfinite("hessian", beta)

@@ -316,7 +316,7 @@ def load_csv(path) -> SurvivalDataset:
     """Parse `time,status,x1,...,xp`. Errors name the offending data row
     (1-based, excluding the header)."""
     try:
-        fh = open(str(path), "r", encoding="utf-8")
+        fh = open(str(path), "r", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     try:

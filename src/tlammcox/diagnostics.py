@@ -1,5 +1,5 @@
-"""Numerical verification tools: a brute-force localized-sparse-eigenvalue
-probe on small instances and the gradient sup-norm scaling table.
+"""Numerical verification tool: a brute-force localized-sparse-eigenvalue
+probe on small instances.
 
 The probe enumerates supports exhaustively but can only sample the l1 ball
 of coefficient vectors, so rho_plus is a lower bound on the true sup and
@@ -16,11 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cox import CoxObjective
-from .data import (ConstantSignal, Design, Independent, SimulationConfig,
-                   SurvivalDataset, simulate_dataset)
+from .data import SurvivalDataset
 from .errors import CapabilityError, ConfigError
 
-__all__ = ["LseReport", "lse_probe", "gradient_sup_norm_scaling"]
+__all__ = ["LseReport", "lse_probe"]
 
 LSE_P_CAP = 20
 LSE_SUPPORT_CAP = 2_000_000
@@ -95,26 +94,3 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     desc = f"center + {len(points) - 1} l1-sphere samples (seed={seed})"
     return LseReport(m=m, r=float(r), rho_minus=rho_minus, rho_plus=rho_plus,
                      probe_count=probes, beta_samples=desc)
-
-
-def gradient_sup_norm_scaling(reps: int, n: int, p_list, seed: int = 0,
-                              s: int = None, signal: float = None,
-                              design: Design = Independent()):
-    """Median ||grad at the generating coefficients||_inf per p, for
-    eyeballing the sqrt(log p / n) rate. s (clamped to p) and the constant
-    signal default to SimulationConfig's model."""
-    out = []
-    for pi, p in enumerate(p_list):
-        norms = []
-        for rep in range(reps):
-            ss = np.random.SeedSequence([int(seed), pi, rep])
-            cfg = SimulationConfig(n=n, p=int(p),
-                                   s=None if s is None else min(s, int(p)),
-                                   signal=None if signal is None else ConstantSignal(signal),
-                                   design=design,
-                                   seed=int(ss.generate_state(1, np.uint64)[0]))
-            dataset, beta_star = simulate_dataset(cfg)
-            g = CoxObjective(dataset).gradient(beta_star)
-            norms.append(float(np.abs(g).max()))
-        out.append((int(p), float(np.median(norms))))
-    return out

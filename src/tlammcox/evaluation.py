@@ -6,8 +6,8 @@ The cross-validation criterion is the held-out partial-likelihood deviance
 sum_k [ n * nll_full(beta_k) - n_train * nll_train(beta_k) ]: subtracting
 the training likelihood at the training fit avoids the bias a per-fold
 partial likelihood picks up from fold-specific risk sets. A c with a
-saturated fold fit (support at least the training events) is never
-preferred to one without.
+fold fit that did not converge (saturated, max_iter or stalled) is never
+preferred to one whose fold fits all converged.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class CvResult:
     c_grid: tuple
     criteria: tuple
     statuses: tuple            # per c, one FitResult.status per fold
-    chosen_c: float
+    chosen_c: float            # least criterion among c whose folds all converged
     chosen_lambda: float
     criterion: str = CV_CRITERION_NAME
     fold_seed: int = 0
@@ -176,8 +176,8 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
                    config: SolverConfig = SolverConfig(), seed: int = 0,
                    shape: float = float("nan"), threads: int = 1) -> CvResult:
     """Tune c over the grid by k-fold held-out deviance; ties go to the
-    smallest c, and a c with a saturated fold fit loses to any c without
-    one. Every fold fit for a given c uses the same
+    smallest c, and a c with an unconverged fold fit loses to any c whose
+    fold fits all converged. Every fold fit for a given c uses the same
     lambda_c = c sqrt(log p / n) with n the full-sample size.
     """
     c_grid = sorted(default_c_grid() if c_grid is None else [float(c) for c in c_grid])
@@ -213,7 +213,7 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
         criteria.append(total)
         statuses.append(tuple(c_statuses))
     best = min(range(len(c_grid)),
-               key=lambda i: ("saturated" in statuses[i], criteria[i]))
+               key=lambda i: (any(s != "converged" for s in statuses[i]), criteria[i]))
     chosen_c = c_grid[best]
     return CvResult(c_grid=tuple(c_grid), criteria=tuple(criteria),
                     statuses=tuple(statuses), chosen_c=chosen_c,

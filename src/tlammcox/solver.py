@@ -75,9 +75,6 @@ class SolverTrace:
     # "converged", "saturated", "stalled" or "max_iter"
     exits: list = field(default_factory=list)
 
-    def stage_records(self, stage: int):
-        return [r for r in self.records if r.stage == stage]
-
     def write_csv(self, path):
         with open(str(path), "w", encoding="utf-8") as fh:
             write_rows(fh, [("stage", "iter", "F", "omega", "phi", "step_norm", "support"),
@@ -243,7 +240,7 @@ def _fit_result(beta, spec, stage1_beta, trace, t0, out_of_stages=False):
     """FitResult read from the trace by one rule: steps are (stage-1
     records, the rest); stage 1 converged when its exit did, the later
     stages when all theirs did and I-LAMM did not run out of stages."""
-    k1 = len(trace.stage_records(1))
+    k1 = sum(r.stage == 1 for r in trace.records)
     status = "max_iter" if out_of_stages else next(
         (why for why in reversed(trace.exits) if why != "converged"), "converged")
     later_ok = not out_of_stages and all(why == "converged" for why in trace.exits[1:])

@@ -1,14 +1,15 @@
 """Shared fixtures, the traced-memory probe, and the one brute-force,
 finite-difference or direct-formula reference for each quantity the tests
-check against: omega, the Cox derivatives, Harrell's C, the event-row
-covariate sum and the correlated designs."""
+check against: omega, the Cox derivatives, Harrell's C, the correlated
+designs and the gradient sup-norm scaling table."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tlammcox import SurvivalDataset
+from tlammcox import CoxObjective, SimulationConfig, SurvivalDataset, simulate_dataset
+from tlammcox.data import ConstantSignal, Independent
 
 
 @pytest.fixture
@@ -77,11 +78,6 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def event_row_sum(x, event_rows):
-    """Sum of the covariate rows of the events, from the whole gather."""
-    return x[event_rows].sum(axis=0)
-
-
 def constant_correlation_design(rho, n, p, seed):
     """x = sqrt(rho) z 1 + sqrt(1-rho) eps, drawing z then eps."""
     rng = np.random.default_rng(seed)
@@ -99,3 +95,25 @@ def autoregressive_design(rho, n, p, seed):
     for j in range(1, p):
         x[:, j] = rho * x[:, j - 1] + scale * eps[:, j]
     return x
+
+
+def gradient_sup_norm_scaling(reps, n, p_list, seed=0, s=None, signal=None,
+                              design=Independent()):
+    """Median ||grad at the generating coefficients||_inf per p, for
+    eyeballing the sqrt(log p / n) rate. s (clamped to p) and the constant
+    signal default to SimulationConfig's model."""
+    out = []
+    for pi, p in enumerate(p_list):
+        norms = []
+        for rep in range(reps):
+            ss = np.random.SeedSequence([int(seed), pi, rep])
+            cfg = SimulationConfig(n=n, p=int(p),
+                                   s=None if s is None else min(s, int(p)),
+                                   signal=None if signal is None else ConstantSignal(signal),
+                                   design=design,
+                                   seed=int(ss.generate_state(1, np.uint64)[0]))
+            dataset, beta_star = simulate_dataset(cfg)
+            g = CoxObjective(dataset).gradient(beta_star)
+            norms.append(float(np.abs(g).max()))
+        out.append((int(p), float(np.median(norms))))
+    return out

@@ -80,7 +80,7 @@ def test_criterion_02_descent_and_majorization():
     worst_gap, worst_drop = np.inf, np.inf
     steps = 0
     for stage in sorted({r.stage for r in fit.trace.records}):
-        recs = fit.trace.stage_records(stage)
+        recs = [r for r in fit.trace.records if r.stage == stage]
         f_prev, _ = _stage_initial_objective(obj, spec, stage, fit.stage1_beta, lam)
         for r in recs:
             worst_gap = min(worst_gap, r.majorization_gap)

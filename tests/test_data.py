@@ -193,6 +193,27 @@ def test_csv_not_utf8_is_a_data_error(tmp_path):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("body", [
+    "1.0,1,0.5\n2.0,0,1.5\n",                # numpy's reader
+    "1.0,1,0.5\n \n2.0,0,1_0\n",             # only the row loop reads these
+], ids=["numpy_reader", "row_loop"])
+def test_csv_with_a_byte_order_mark_loads_as_without(tmp_path, body):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("time,status,x1\n" + body, encoding="utf-8")
+    marked.write_text("time,status,x1\n" + body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbftime,")
+    a, b = load_csv(plain), load_csv(marked)
+    for got, want in ((b.times, a.times), (b.status, a.status), (b.covariates, a.covariates)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_csv_with_a_byte_order_mark_cites_the_bad_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,status,x1\n1.0,1,0.5\n2.0,0,abc\n", encoding="utf-8-sig")
+    with pytest.raises(CsvParseError, match="row 2: non-numeric field"):
+        load_csv(path)
+
+
 def test_load_csv_holds_one_design(tmp_path):
     # the parsed (n, p + 2) table becomes the design in place; a second
     # n x p copy would put the peak near 2x

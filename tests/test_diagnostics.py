@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from tlammcox import (CapabilityError, ConfigError, CoxObjective,
                       SimulationConfig, lse_probe, simulate_dataset)
-from tlammcox.diagnostics import gradient_sup_norm_scaling
-from conftest import random_dataset
+from conftest import gradient_sup_norm_scaling, random_dataset
 
 
 def test_lse_m1_equals_diagonal_extremes():

@@ -199,6 +199,18 @@ def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
     assert res.chosen_c == grid[min(rest, key=lambda i: res.criteria[i])]
 
 
+def test_cross_validate_scores_only_finished_fits():
+    # under a 14-step cap one fold fit at c = 0.6 (17 stage-2 steps uncapped)
+    # ends max_iter, and its unfinished beta gives 0.6 the lower criterion;
+    # every fold fit at c = 0.1 takes at most 12 steps per stage
+    ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=7))
+    res = cross_validate(ds, "scad", c_grid=[0.1, 0.6], seed=3,
+                         config=SolverConfig(max_iter_stage=14))
+    assert res.statuses[0] == ("converged",) * 3 and "max_iter" in res.statuses[1]
+    assert res.criteria[1] < res.criteria[0]
+    assert res.chosen_c == 0.1
+
+
 def test_c_at_one_covariate_is_a_config_error_naming_log_p():
     # lambda = c sqrt(log p / n) is 0 at p = 1 whatever c is
     ds, _ = simulate_dataset(SimulationConfig(n=40, p=1, s=1, seed=2))

@@ -239,14 +239,14 @@ def test_trace_invariants_benchmark_fit():
     obj = CoxObjective(ds)
     stages = {r.stage for r in fit.trace.records}
     for stage in stages:
-        recs = fit.trace.stage_records(stage)
+        recs = [r for r in fit.trace.records if r.stage == stage]
         if stage == 1:
             f_prev = obj.nll(np.zeros(ds.p))
             phi_prev = cfg.phi0
         else:
             from tlammcox.penalties import value as penalty_value
             f_prev = obj.nll(fit.stage1_beta) + penalty_value(scad(lam), fit.stage1_beta)
-            phi_prev = fit.trace.stage_records(1)[-1].phi
+            phi_prev = [r for r in fit.trace.records if r.stage == 1][-1].phi
         for r in recs:
             assert r.majorization_gap >= -1e-10
             drop = f_prev - r.objective
@@ -295,14 +295,38 @@ def test_float_floor_stall_is_flagged():
     assert not fit.converged[1] and fit.trace.records[-1].step_norm == 0.0
 
 
+class PinnedFloor:
+    """One-coefficient loss whose float floor is pinned at t: the value
+    falls to 1 at t and rises on both sides, while the gradient stays -1,
+    so under an l1 weight w < 1 omega stays at 1 - w > 0 everywhere."""
+
+    p = 1
+    dataset = collections.namedtuple("Events", "n_events")(2)
+
+    def __init__(self, t):
+        self.t = t
+
+    def nll(self, beta):
+        return 1.0 + 1024.0 * abs(float(beta[0]) - self.t)
+
+    def value_and_gradient(self, beta):
+        return self.nll(beta), np.array([-1.0])
+
+
 def test_ilamm_stage_at_float_floor_stops_stalled():
-    # stage 4 climbs to phi ~1e11 with steps that shrink towards 1e-19 but
-    # never reach exactly zero; the next line search runs past max_phi, and
-    # since the last accepted step predicted a decrease far below one ulp
-    # of the loss the stage ends stalled instead of raising
-    ds, _ = simulate_dataset(SimulationConfig(n=200, p=100, s=10, seed=1))
-    fit = ilamm(ds, scad(0.65 * math.sqrt(math.log(100) / 200)),
-                SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000))
+    # stage 1 (weight 1) converges at 0 and an I-LAMM stage (weight w)
+    # steps from there onto t, predicting a decrease of 0.5 phi t^2 ~ 1e-18,
+    # far below one ulp of the loss. From t every candidate reads higher
+    # than the model, so the line search runs past max_phi, and the stage
+    # ends stalled instead of raising
+    cfg = SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000)
+    w, phi = 1.0 - 1e-6, 2.0 ** 20
+    t = lamm_step(np.zeros(1), np.array([-1.0]), phi / cfg.gamma_u, w)[0]
+    objective = PinnedFloor(t)
+    b1, _, _, trace, _ = stage1_lasso(objective, 1.0, cfg)
+    beta = solver._lamm_loop(objective, np.array([w]), b1, config=cfg, stage=2,
+                             trace=trace, phi_init=phi)[0]
+    fit = solver._fit_result(beta, scad(1.0), b1, trace, 0.0)
     last = fit.trace.records[-1]
     assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
     assert fit.converged == (True, False) and last.omega > 1e-8
@@ -354,7 +378,7 @@ def saturating_input():
 def test_saturated_stage2_stops_at_first_saturated_record():
     ds, spec = saturating_input()
     fit = tlamm(ds, spec, SolverConfig())
-    support = [r.support for r in fit.trace.stage_records(2)]
+    support = [r.support for r in fit.trace.records if r.stage == 2]
     assert fit.status == "saturated" and fit.converged[1] is False
     assert fit.trace.exits == ["converged", "saturated"]
     assert np.count_nonzero(fit.stage1_beta) < ds.n_events
@@ -385,18 +409,18 @@ def test_stage2_starts_on_the_sweep_stage1_ended_on(monkeypatch):
     obj = CoxObjective(ds)
     b1, k1, _, _, phi = stage1_lasso(obj, spec.lam, SolverConfig())
     products = []       # X.T @ r per value_and_gradient call
-    risk_coefficients = CoxObjective._risk_coefficients
+    risk_weights = CoxObjective._risk_weights
     value_and_gradient = CoxObjective.value_and_gradient
 
-    def counting(self, s0):
+    def counting(self, *args):
         products[-1] += 1
-        return risk_coefficients(self, s0)
+        return risk_weights(self, *args)
 
     def recording(self, beta):
         products.append(0)
         return value_and_gradient(self, beta)
 
-    monkeypatch.setattr(CoxObjective, "_risk_coefficients", counting)
+    monkeypatch.setattr(CoxObjective, "_risk_weights", counting)
     monkeypatch.setattr(CoxObjective, "value_and_gradient", recording)
     _, k2, _, _, _ = stage2(obj, spec, SolverConfig(), init=b1, phi_init=phi)
     assert k1 > 0 and k2 > 0
