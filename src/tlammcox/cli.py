@@ -144,15 +144,15 @@ def _parse_solver(obj):
     return SolverConfig(**_block(obj, kinds, "solver"))
 
 
-def _parse_penalty(obj, n, p, where="penalty"):
+def _parse_penalty(obj, n, p):
     given = _block(obj, {"kind": _str, "lambda": _float, "c": _float, "a": _float,
-                         "gamma": _float}, where, ("kind",))
+                         "gamma": _float}, "penalty", ("kind",))
     if ("lambda" in given) == ("c" in given):
-        raise ConfigError(f"{where}: give exactly one of {where}.lambda or {where}.c")
+        raise ConfigError("penalty: give exactly one of penalty.lambda or penalty.c")
     if p == 1 and "c" in given:
-        raise ConfigError(f"{where}.c: log p = 0 at p = 1, so give {where}.lambda instead")
+        raise ConfigError("penalty.c: log p = 0 at p = 1, so give penalty.lambda instead")
     lam = given["lambda"] if "lambda" in given else scaled_lambda(given["c"], n, p)
-    return PenaltySpec(given["kind"], lam, **_shape(given, given["kind"], where))
+    return PenaltySpec(given["kind"], lam, **_shape(given, given["kind"], "penalty"))
 
 
 def _shape(given, kind, where):
@@ -167,11 +167,11 @@ def _shape(given, kind, where):
     return {"shape": shapes[key]} if key in shapes else {}
 
 
-def _load_data(obj, seed_override=None, where="data"):
+def _load_data(obj, seed_override=None):
     """Returns (dataset, true_beta or None)."""
-    given = _block(obj, {"csv": _str, "simulate": _later}, where)
+    given = _block(obj, {"csv": _str, "simulate": _later}, "data")
     if ("csv" in given) == ("simulate" in given):
-        raise ConfigError(f"{where}: give exactly one of csv or simulate")
+        raise ConfigError("data: give exactly one of csv or simulate")
     if "csv" in given:
         dataset = load_csv(given["csv"])      # a replaced cli.load_csv is the one called
         return dataset, read_truth(given["csv"], dataset.p)

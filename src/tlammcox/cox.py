@@ -28,6 +28,8 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 # (|S|=100) against 98 us dense; at 200x100 dense wins at any |S|.
 _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
+_NEWTON_TOL = 1e-8
+_NEWTON_HALVINGS = 30
 # dataset -> _prepare's tuple; an entry is freed with its dataset and, being
 # module state, never travels with a dataset pickled into a pool task
 _PREPARED = weakref.WeakKeyDictionary()
@@ -65,7 +67,8 @@ class CoxObjective:
     A sweep that raises caches nothing, and a returned gradient is a copy.
     Each cache entry is one tuple that is replaced whole, and evaluations
     otherwise use call-local scratch, so concurrent calls on one instance
-    are safe: a race can only cost a recomputation.
+    are safe: a race can only cost a recomputation, or a count in the
+    work counters, which are plain unlocked adds.
     """
 
     def __init__(self, dataset: SurvivalDataset):
@@ -77,6 +80,9 @@ class CoxObjective:
         self.cache, self._d, self._risk_last = _prepare(dataset)
         self._last_sweep = None    # (beta, its bytes, eta, offset, w, s0, value, grad)
         self._last_gather = None   # (support bytes, X[:, support])
+        # work counts, read per stage by the solver: nll calls, and the
+        # value_and_gradient calls the last sweep served or that swept afresh
+        self.loss_sweeps = self.vg_hits = self.vg_fresh = 0
 
     # ---------------------------------------------------------- internals
 
@@ -141,7 +147,14 @@ class CoxObjective:
     def _sweep(self, beta, want_value, want_grad):
         """One descending-time sweep, or what of it the last sweep left;
         returns (value or None, grad or None)."""
-        beta, key, eta, offset, w, s0, value, grad = self._state(beta)
+        state = self._state(beta)
+        if not want_grad:
+            self.loss_sweeps += 1
+        elif want_value and state is self._last_sweep:
+            self.vg_hits += 1
+        elif want_value:
+            self.vg_fresh += 1
+        beta, key, eta, offset, w, s0, value, grad = state
         # groups run forward in time, so S0's last entry is its least; NaN fails too
         if not s0[-1] > 0:
             self._raise_nonfinite("partial likelihood" if want_value else "gradient", beta)
@@ -203,12 +216,11 @@ class CoxObjective:
         return h
 
 
-def fit_restricted(dataset: SurvivalDataset, support, tol: float = 1e-8,
-                   max_iter: int = 100, max_halvings: int = 30) -> np.ndarray:
+def fit_restricted(dataset: SurvivalDataset, support, max_iter: int = 100) -> np.ndarray:
     """Minimize the partial likelihood over coordinates in `support`
     (everything else pinned to exactly 0) by damped Newton.
 
-    Stops at ||restricted gradient||_inf <= tol; raises RankError on a
+    Stops at ||restricted gradient||_inf <= _NEWTON_TOL; raises RankError on a
     singular restricted Hessian and IterationLimitError (carrying the last
     iterate) if max_iter is exhausted, which happens e.g. under monotone
     likelihood where no finite minimizer exists.
@@ -230,7 +242,7 @@ def fit_restricted(dataset: SurvivalDataset, support, tol: float = 1e-8,
 
     value, grad = obj.value_and_gradient(b)
     for _ in range(max_iter):
-        if np.abs(grad).max() <= tol:
+        if np.abs(grad).max() <= _NEWTON_TOL:
             return expand(b)
         hess = obj.hessian(b, p_cap=max(HESSIAN_P_CAP, support.size))
         try:
@@ -239,7 +251,7 @@ def fit_restricted(dataset: SurvivalDataset, support, tol: float = 1e-8,
             raise RankError(
                 f"singular restricted hessian on support of size {support.size}") from exc
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_HALVINGS):
             cand = b + step * direction
             try:
                 cand_value, cand_grad = obj.value_and_gradient(cand)
@@ -255,8 +267,8 @@ def fit_restricted(dataset: SurvivalDataset, support, tol: float = 1e-8,
             raise IterationLimitError(
                 "restricted Newton stalled: no decrease after step halving",
                 last_beta=expand(b))
-    if np.abs(grad).max() <= tol:
+    if np.abs(grad).max() <= _NEWTON_TOL:
         return expand(b)
     raise IterationLimitError(
-        f"restricted Newton did not reach tol={tol} in {max_iter} iterations",
+        f"restricted Newton did not reach tol={_NEWTON_TOL} in {max_iter} iterations",
         last_beta=expand(b))

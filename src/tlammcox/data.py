@@ -204,8 +204,9 @@ class SimulationConfig:
             raise ConfigError(f"support size s={self.s} must satisfy 1 <= s <= p={self.p}")
         if isinstance(self.signal, DecayingSignal) and len(self.signal.values) != self.s:
             raise ConfigError("decaying signal must supply exactly s values")
-        if len(self.censoring) != 2 or not self.censoring[0] < self.censoring[1]:
-            raise ConfigError("censoring window must be (low, high) with low < high")
+        if len(self.censoring) != 2 or not 0 <= self.censoring[0] < self.censoring[1] < math.inf:
+            raise ConfigError("censoring window must be (low, high) with "
+                              f"0 <= low < high < inf, got {tuple(self.censoring)}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
         _check_rho(self.design)

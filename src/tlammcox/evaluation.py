@@ -30,14 +30,12 @@ from .solver import FitResult, SolverConfig, ilamm, tlamm
 __all__ = ["SelectionMetrics", "CvResult", "ExperimentGrid",
            "ExperimentResult", "l2_error", "selection_metrics",
            "concordance_index", "cross_validate", "run_experiment",
-           "default_c_grid", "scaled_lambda", "EXPERIMENT_CSV_HEADER"]
+           "default_c_grid", "scaled_lambda"]
 
-CV_CRITERION_NAME = "held_out_partial_likelihood_deviance"
 METHODS = ("oracle", "lasso", "tlamm-scad", "tlamm-mcp", "ilamm-scad", "ilamm-mcp")
 # cell-median keys; results.csv adds the unit's keys and status, seconds last
 _METRICS = ("l2", "tp", "fp", "sens", "spec", "iters1", "iters2", "seconds")
 _ROW_KEYS = ("design", "penalty", "n", "p", "rep", *_METRICS[:-1], "status", "seconds")
-EXPERIMENT_CSV_HEADER = ",".join(_ROW_KEYS)
 
 
 def default_c_grid():
@@ -71,12 +69,12 @@ class SelectionMetrics:
     specificity: float
 
 
-def selection_metrics(beta_hat, true_support, zero_tol: float = 0.0) -> SelectionMetrics:
+def selection_metrics(beta_hat, true_support) -> SelectionMetrics:
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     p = beta_hat.size
     truth = np.zeros(p, dtype=bool)
     truth[np.asarray(list(true_support), dtype=np.intp)] = True
-    selected = np.abs(beta_hat) > zero_tol
+    selected = np.abs(beta_hat) > 0.0
     tp = int(np.sum(selected & truth))
     fp = int(np.sum(selected & ~truth))
     fn = int(np.sum(~selected & truth))
@@ -148,21 +146,21 @@ class CvResult:
     statuses: tuple            # per c, one FitResult.status per fold
     chosen_c: float            # least criterion among c whose folds all converged
     chosen_lambda: float
-    criterion: str = CV_CRITERION_NAME
     fold_seed: int = 0
+    criterion = "held_out_partial_likelihood_deviance"
 
 
-def _make_folds(n, n_folds, seed, status, attempts=10):
-    """Seeded permutation partition; resplit (seed+1, ...) until every
-    training part holds an event."""
-    for attempt in range(attempts):
+def _make_folds(n, n_folds, seed, status):
+    """Seeded permutation partition; resplit (seed+1, ..., seed+9) until
+    every training part holds an event."""
+    for attempt in range(10):
         rng = np.random.default_rng(seed + attempt)
         parts = np.array_split(rng.permutation(n), n_folds)
         if all(np.delete(status, part).any() for part in parts):
             return [np.sort(part) for part in parts], seed + attempt
     raise DataError(
         f"could not split into {n_folds} folds with events in every "
-        f"training part after {attempts} attempts")
+        "training part after 10 attempts")
 
 
 def _cv_fit_task(args):

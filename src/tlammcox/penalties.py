@@ -37,13 +37,13 @@ class PenaltySpec:
             object.__setattr__(self, "shape", float("inf"))
         elif self.kind == "scad":
             shape = DEFAULT_SCAD_A if np.isnan(self.shape) else self.shape
-            if not shape > 2:
-                raise ConfigError(f"SCAD requires a > 2, got {shape}")
+            if not 2 < shape < np.inf:
+                raise ConfigError(f"SCAD requires a finite a > 2, got {shape}")
             object.__setattr__(self, "shape", float(shape))
         else:
             shape = DEFAULT_MCP_GAMMA if np.isnan(self.shape) else self.shape
-            if not shape > 1:
-                raise ConfigError(f"MCP requires gamma > 1, got {shape}")
+            if not 1 < shape < np.inf:
+                raise ConfigError(f"MCP requires a finite gamma > 1, got {shape}")
             object.__setattr__(self, "shape", float(shape))
 
 

@@ -20,6 +20,7 @@ only when every stage converged.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,8 +54,10 @@ class SolverConfig:
             raise ConfigError("phi0, eps1, eps2 must be positive")
         if not self.phi0 <= self.max_phi:
             raise ConfigError("phi0 must not exceed max_phi")
-        if not self.max_iter_stage >= 1:
-            raise ConfigError("max_iter_stage must be positive")
+        if not (isinstance(self.max_iter_stage, numbers.Integral)
+                and self.max_iter_stage >= 1):
+            raise ConfigError("max_iter_stage must be a positive integer, "
+                              f"got {self.max_iter_stage!r}")
 
 
 class TraceRecord(NamedTuple):
@@ -68,12 +71,21 @@ class TraceRecord(NamedTuple):
     majorization_gap: float   # Psi(candidate) - loss(candidate) at acceptance
 
 
+class StageWork(NamedTuple):
+    loss_sweeps: int          # objective.nll calls, one per line-search trial
+    vg_hits: int              # value_and_gradient calls the last sweep served
+    vg_fresh: int             # value_and_gradient calls that swept afresh
+    steps: int                # accepted steps
+    seconds: float
+
+
 @dataclass
 class SolverTrace:
     records: list = field(default_factory=list)
-    # why each stage stopped, one entry per `_lamm_loop` run in stage order:
-    # "converged", "saturated", "stalled" or "max_iter"
+    # one entry per `_lamm_loop` run in stage order: why the stage stopped
+    # ("converged", "saturated", "stalled" or "max_iter"), and its StageWork
     exits: list = field(default_factory=list)
+    work: list = field(default_factory=list)
 
     def write_csv(self, path):
         with open(str(path), "w", encoding="utf-8") as fh:
@@ -85,7 +97,6 @@ class SolverTrace:
 @dataclass
 class FitResult:
     beta: np.ndarray
-    lam: float
     stage1_beta: np.ndarray
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
@@ -150,8 +161,9 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
                stage: int, trace: SolverTrace, phi_init=None,
                shift: PenaltySpec | None = None):
     """One LAMM stage on loss + sum_j w_j |b_j| from init: appends one
-    TraceRecord per accepted step and the reason it stopped to trace.exits,
-    and returns (beta, steps, converged, phi).
+    TraceRecord per accepted step, the reason it stopped to trace.exits and
+    its StageWork, read off the objective's counters, to trace.work, and
+    returns (beta, steps, converged, phi).
 
     Stage 1 (the l1 relaxation), stage 2 and every I-LAMM stage are this
     routine. `weights` is lambda or a per-coordinate vector. The loss is
@@ -191,8 +203,15 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
         def loss_fn(b):
             return objective.nll(b) + shift_value(shift, b)
 
+    t0 = time.perf_counter()
+    start = (objective.loss_sweeps, objective.vg_hits, objective.vg_fresh)
+
     def done(steps, why):
         trace.exits.append(why)
+        trace.work.append(StageWork(objective.loss_sweeps - start[0],
+                                    objective.vg_hits - start[1],
+                                    objective.vg_fresh - start[2],
+                                    steps, time.perf_counter() - t0))
         return (beta if steps else beta.copy()), steps, why == "converged", phi_prev
 
     beta = np.asarray(init, dtype=np.float64)
@@ -236,7 +255,7 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     return done(config.max_iter_stage, "max_iter")
 
 
-def _fit_result(beta, spec, stage1_beta, trace, t0, out_of_stages=False):
+def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False):
     """FitResult read from the trace by one rule: steps are (stage-1
     records, the rest); stage 1 converged when its exit did, the later
     stages when all theirs did and I-LAMM did not run out of stages."""
@@ -244,7 +263,7 @@ def _fit_result(beta, spec, stage1_beta, trace, t0, out_of_stages=False):
     status = "max_iter" if out_of_stages else next(
         (why for why in reversed(trace.exits) if why != "converged"), "converged")
     later_ok = not out_of_stages and all(why == "converged" for why in trace.exits[1:])
-    return FitResult(beta=beta, lam=spec.lam, stage1_beta=stage1_beta,
+    return FitResult(beta=beta, stage1_beta=stage1_beta,
                      iterations=(k1, len(trace.records) - k1), trace=trace,
                      converged=(trace.exits[0] == "converged", later_ok),
                      status=status, seconds=time.perf_counter() - t0)
@@ -279,9 +298,11 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
-    beta = _lamm_loop(objective, spec.lam, b1, config=config, stage=2,
-                      trace=trace, phi_init=phi, shift=spec)[0]
-    return _fit_result(beta, spec, b1, trace, t0)
+    beta, _, _, trace2, _ = stage2(objective, spec, config, b1, phi)
+    trace.records += trace2.records
+    trace.exits += trace2.exits
+    trace.work += trace2.work
+    return _fit_result(beta, b1, trace, t0)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
@@ -308,5 +329,5 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
         # next stage's predicted decrease is below one ulp of the loss
         gap = np.linalg.norm(beta - b_prev)
         if trace.exits[-1] in ("saturated", "stalled") or gap <= config.eps2:
-            return _fit_result(beta, spec, b1, trace, t0)
-    return _fit_result(beta, spec, b1, trace, t0, out_of_stages=True)
+            return _fit_result(beta, b1, trace, t0)
+    return _fit_result(beta, b1, trace, t0, out_of_stages=True)

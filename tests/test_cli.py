@@ -311,6 +311,14 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6}}, "seed": 3},
      "unknown keys ['seed']"),
+    # values no fit or draw can use; json reads 1e999 as inf, as it does Infinity
+    ("fit", {"data": {"simulate": sim_config()},
+             "penalty": {"kind": "scad", "c": 0.65, "a": math.inf}}, "finite a > 2"),
+    ("simulate", dict(sim_config(), censoring=[2, math.inf]), "censoring window"),
+    ("simulate", dict(sim_config(), censoring=[-1, 2]), "censoring window"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6},
+                             "censoring": [2, math.inf]}}, "censoring window"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

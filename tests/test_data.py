@@ -46,6 +46,15 @@ def test_design_unit_marginals():
         assert_allclose(x.std(axis=0), 1.0, atol=0.05)
 
 
+def test_censoring_window_must_be_finite_and_non_negative():
+    # an infinite high end overflows the uniform draw; a negative low end
+    # gives the censoring exponential a negative scale
+    for window in ((2.0, np.inf), (-1.0, 2.0)):
+        with pytest.raises(ConfigError, match="censoring window"):
+            SimulationConfig(n=10, p=5, censoring=window)
+    assert SimulationConfig(n=10, p=5, censoring=(0.0, 1.0)).censoring == (0.0, 1.0)
+
+
 def test_invalid_rho_rejected():
     with pytest.raises(ConfigError):
         generate_covariates(ConstantCorrelation(1.0), 10, 2, seed=0)

@@ -13,9 +13,8 @@ from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
 from tlammcox import evaluation
 from tlammcox.data import Autoregressive
 from tlammcox.errors import LineSearchError
-from tlammcox.evaluation import (EXPERIMENT_CSV_HEADER, ExperimentGrid,
-                                 default_c_grid, method_penalty_kind,
-                                 run_experiment)
+from tlammcox.evaluation import (ExperimentGrid, default_c_grid,
+                                 method_penalty_kind, run_experiment)
 from conftest import brute_force_concordance, random_dataset, traced_peak
 
 
@@ -56,9 +55,9 @@ def test_selection_metrics_identities():
 
 
 def test_selection_metrics_zero_tol():
+    # the zero tolerance is exactly 0: every nonzero coefficient is selected
     beta = np.array([0.5, 1e-9, 0.0])
-    assert selection_metrics(beta, [0], zero_tol=0.0).fp == 1
-    assert selection_metrics(beta, [0], zero_tol=1e-6).fp == 0
+    assert selection_metrics(beta, [0]).fp == 1
 
 
 def test_concordance_perfectly_ordered():
@@ -288,7 +287,8 @@ def test_run_experiment_single_cell(tmp_path):
     out = tmp_path / "r.csv"
     res = run_experiment(grid, SolverConfig(), out_csv=out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == EXPERIMENT_CSV_HEADER
+    assert lines[0] == ("design,penalty,n,p,rep,l2,tp,fp,sens,spec,iters1,iters2,"
+                        "status,seconds")
     assert len(lines) == 2
     assert len(res.rows) == 1 and not res.any_failed
     assert res.cell_medians[0]["median"]["tp"] <= 3

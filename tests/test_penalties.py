@@ -23,6 +23,14 @@ def test_spec_validation():
     assert lasso(1.0).shape == np.inf
 
 
+def test_spec_rejects_an_infinite_shape():
+    # an infinite a or gamma makes p and p' NaN, and the fit die on them
+    with pytest.raises(ConfigError, match="finite a > 2, got inf"):
+        scad(0.1, np.inf)
+    with pytest.raises(ConfigError, match="finite gamma > 1, got inf"):
+        mcp(0.1, np.inf)
+
+
 def test_derivative_examples():
     s = scad(1.0)
     assert derivative(s, 0.0) == 1.0            # limit lambda at 0+

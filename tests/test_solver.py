@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from tlammcox import (ConfigError, CoxObjective, LineSearchError,
                       SimulationConfig, SolverConfig, fit_restricted, ilamm,
                       lasso, mcp, omega, scad, simulate_dataset, tlamm)
-from tlammcox import solver
+from tlammcox import evaluation, solver
 from tlammcox.solver import TraceRecord, lamm_step, line_search, stage1_lasso, stage2
 from conftest import grid_omega, random_dataset
 
@@ -176,6 +176,13 @@ def test_solver_config_validation():
             SolverConfig(**{name: float("nan")})
 
 
+def test_solver_config_rejects_a_fractional_step_cap():
+    for cap in (2.5, 2.0):
+        with pytest.raises(ConfigError, match="max_iter_stage"):
+            SolverConfig(max_iter_stage=cap)
+    assert SolverConfig(max_iter_stage=np.int64(3)).max_iter_stage == 3
+
+
 def test_stage1_kkt_at_zero():
     rng = np.random.default_rng(4)
     ds = random_dataset(rng, 40, 6)
@@ -302,6 +309,7 @@ class PinnedFloor:
 
     p = 1
     dataset = collections.namedtuple("Events", "n_events")(2)
+    loss_sweeps = vg_hits = vg_fresh = 0       # the work counts _lamm_loop reads
 
     def __init__(self, t):
         self.t = t
@@ -326,7 +334,7 @@ def test_ilamm_stage_at_float_floor_stops_stalled():
     b1, _, _, trace, _ = stage1_lasso(objective, 1.0, cfg)
     beta = solver._lamm_loop(objective, np.array([w]), b1, config=cfg, stage=2,
                              trace=trace, phi_init=phi)[0]
-    fit = solver._fit_result(beta, scad(1.0), b1, trace, 0.0)
+    fit = solver._fit_result(beta, b1, trace, 0.0)
     last = fit.trace.records[-1]
     assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
     assert fit.converged == (True, False) and last.omega > 1e-8
@@ -569,3 +577,29 @@ def test_work_per_step_is_pinned(monkeypatch, method):
     assert counts["shift_value"] == sum(t + 1 for _, t in shifted)
     assert counts["nll"] == trials == counts["lamm_step"]
     assert counts["value_and_gradient"] == steps + len(stages)
+
+
+def _fit_work(task):
+    """A fit's per-stage StageWork with its seconds zeroed; a pool task."""
+    method, dataset, spec = task
+    return [work._replace(seconds=0.0) for work in method(dataset, spec).trace.work]
+
+
+def test_work_counts_pin_the_seed7_fits():
+    # the seed-7 counts of the traced benchmark run, read off the library's
+    # own counters, alike in this process and in a 2-worker pool
+    ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
+    spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
+    tasks = [(tlamm, ds, spec), (ilamm, ds, spec)]
+    serial = [_fit_work(task) for task in tasks]
+    totals = [[sum(column) for column in zip(*work)] for work in serial]
+    # (loss sweeps, value_and_gradient calls, accepted steps) per fit
+    assert [(s, hits + fresh, k) for s, hits, fresh, k, _ in totals] == [
+        (73, 38, 36), (141, 78, 69)]
+    # tlamm's stages take (6, 30) steps; only the burn-in's start sweeps
+    # afresh, since every later stage starts on the array its predecessor
+    # ended on, and every step's gradient reuses its accepted trial's sweep
+    assert [w.steps for w in serial[0]] == [6, 30]
+    assert all(w.vg_fresh == (i == 0) and w.vg_hits == w.steps + (i > 0)
+               for work in serial for i, w in enumerate(work))
+    assert list(evaluation._pmap(_fit_work, tasks, 2)) == serial
