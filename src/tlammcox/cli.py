@@ -97,11 +97,6 @@ def _list_of(kind):
     return convert
 
 
-def _window(value):
-    low, high = _list_of(_float)(value)       # a censoring window [low, high]
-    return low, high
-
-
 def _float_map(value):
     if not isinstance(value, dict):
         raise TypeError("expected an object")
@@ -128,7 +123,7 @@ _parse_signal = _kind_of({"constant": ConstantSignal, "decaying": DecayingSignal
                          {"value": _float, "values": _list_of(_float)}, "signal")
 
 # the simulation model, read alike by the simulate block and the grid
-_MODEL = {"s": _int, "signal": _parse_signal, "censoring": _window}
+_MODEL = {"s": _int, "signal": _parse_signal, "censoring": _list_of(_float)}
 
 
 def _parse_sim_config(obj, seed_override=None, where="simulate"):

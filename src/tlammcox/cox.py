@@ -11,7 +11,6 @@ X^T (w c - delta) / n: the covariates times the martingale residuals.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -30,33 +29,15 @@ _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
 _NEWTON_TOL = 1e-8
 _NEWTON_HALVINGS = 30
-# dataset -> _prepare's tuple; an entry is freed with its dataset and, being
-# module state, never travels with a dataset pickled into a pool task
-_PREPARED = weakref.WeakKeyDictionary()
-
-
-def _prepare(dataset):
-    """(risk cache, tie counts as floats, prefix end of each group's risk
-    set) of `dataset`, computed on first use and kept until the dataset is
-    freed; the arrays are read-only."""
-    prepared = _PREPARED.get(dataset)
-    if prepared is None:
-        cache = build_risk_cache(dataset)
-        prepared = (cache, cache.tie_counts.astype(np.float64), cache.risk_sizes - 1)
-        for a in (*vars(cache).values(), *prepared[1:]):
-            a.setflags(write=False)
-        _PREPARED[dataset] = prepared
-    return prepared
 
 
 class CoxObjective:
     """Value/gradient/Hessian of the averaged negative log partial
     likelihood at arbitrary coefficient vectors.
 
-    The instance is read-only over the dataset and reuses earlier work:
+    The instance is read-only over the dataset, owns its risk sets and
+    reuses earlier work:
 
-    - the risk cache is computed once per dataset and shared by every
-      objective on it;
     - the last sweep (eta, its offset, exp weights, risk sums, value and
       gradient) serves a later call made with the same array object whose
       bytes have not changed since, so a gradient at a point whose value
@@ -77,7 +58,9 @@ class CoxObjective:
         self.dataset = dataset
         self.n = dataset.n
         self.p = dataset.p
-        self.cache, self._d, self._risk_last = _prepare(dataset)
+        self.cache = build_risk_cache(dataset)
+        self._d = self.cache.tie_counts.astype(np.float64)   # tie counts as floats
+        self._risk_last = self.cache.risk_sizes - 1          # each group's prefix end
         self._last_sweep = None    # (beta, its bytes, eta, offset, w, s0, value, grad)
         self._last_gather = None   # (support bytes, X[:, support])
         # work counts, read per stage by the solver: nll calls, and the

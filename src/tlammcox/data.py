@@ -46,14 +46,21 @@ class Independent:
 
 
 @dataclass(frozen=True)
-class ConstantCorrelation:
+class _Correlated:
     rho: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.rho < 1.0):
+            raise ConfigError(f"correlation rho must lie in [0, 1), got {self.rho}")
+
+
+@dataclass(frozen=True)
+class ConstantCorrelation(_Correlated):
     name = "constant_correlation"
 
 
 @dataclass(frozen=True)
-class Autoregressive:
-    rho: float
+class Autoregressive(_Correlated):
     name = "autoregressive"
 
 
@@ -64,22 +71,23 @@ Design = Union[Independent, ConstantCorrelation, Autoregressive]
 class ConstantSignal:
     value: float = 0.8
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"signal value must be finite, got {self.value}")
+
 
 @dataclass(frozen=True)
 class DecayingSignal:
     values: tuple
 
     def __init__(self, values: Sequence[float]):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        values = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"signal values must be finite, got {list(values)}")
+        object.__setattr__(self, "values", values)
 
 
 Signal = Union[ConstantSignal, DecayingSignal]
-
-
-def _check_rho(design: Design) -> None:
-    if isinstance(design, (ConstantCorrelation, Autoregressive)):
-        if not (0.0 <= design.rho < 1.0):
-            raise ConfigError(f"correlation rho must lie in [0, 1), got {design.rho}")
 
 
 # ----------------------------------------------------------------- dataset
@@ -209,7 +217,6 @@ class SimulationConfig:
                               f"0 <= low < high < inf, got {tuple(self.censoring)}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        _check_rho(self.design)
 
     def true_beta(self) -> np.ndarray:
         beta = np.zeros(self.p)
@@ -230,7 +237,6 @@ def generate_covariates(design: Design, n: int, p: int, seed) -> np.ndarray:
     """
     if n < 1 or p < 1:
         raise ConfigError("n and p must be positive")
-    _check_rho(design)
     rng = np.random.default_rng(seed)
     if isinstance(design, Independent):
         return rng.standard_normal((n, p))

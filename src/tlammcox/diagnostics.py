@@ -61,8 +61,8 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
         raise CapabilityError(f"lse_probe capped at p <= {LSE_P_CAP}, got {p}")
     if not (1 <= m <= p):
         raise CapabilityError(f"m must lie in [1, p]; got m={m}, p={p}")
-    if r < 0:
-        raise ConfigError(f"radius r must be non-negative, got r={r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ConfigError(f"radius r must be non-negative and finite, got r={r}")
     if n_beta_samples < 0:
         raise ConfigError(f"n_beta_samples must be non-negative, got {n_beta_samples}")
     k = min(m, p)

@@ -257,13 +257,13 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
                              "scad_a": 3.7}}, "unknown keys ['scad_a']"),
-    # the grid reads its censoring window as the simulate block does
+    # the grid's censoring window is checked where the simulate block's is
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
-                             "censoring": [1.0]}}, "grid.censoring"),
+                             "censoring": [1.0]}}, "censoring window"),
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
-                             "censoring": [2, 3, 99]}}, "grid.censoring"),
+                             "censoring": [2, 3, 99]}}, "censoring window"),
     ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
                   "beta_star": [0.8, 0.8]}, "config.beta_star"),
     # methods are checked before the tuning CV
@@ -319,6 +319,12 @@ def test_exit_code_config_error(tmp_path):
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
                              "censoring": [2, math.inf]}}, "censoring window"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": math.inf},
+     "radius r must be non-negative and finite"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": math.nan},
+     "radius r must be non-negative and finite"),
+    ("simulate", dict(sim_config(), signal={"kind": "constant", "value": math.inf}),
+     "signal value must be finite"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -1,4 +1,3 @@
-import gc
 import math
 import sys
 import threading
@@ -341,28 +340,6 @@ def test_nonfinite_sweep_caches_nothing(monkeypatch):
     assert len(products) == 5
 
 
-def test_objectives_on_one_dataset_share_its_risk_cache(monkeypatch):
-    builds = []
-    real_build = cox.build_risk_cache
-
-    def counted(dataset):
-        builds.append(dataset)
-        return real_build(dataset)
-
-    monkeypatch.setattr(cox, "build_risk_cache", counted)
-    ds = random_dataset(np.random.default_rng(21), 40, 5)
-    a, b = CoxObjective(ds), CoxObjective(ds)
-    assert len(builds) == 1 and a.cache is b.cache
-    assert not a.cache.order.flags.writeable
-    CoxObjective(ds.subset(np.arange(30)))
-    assert len(builds) == 2
-    # the entry goes with its dataset
-    entries = len(cox._PREPARED)
-    del a, b, ds, builds[:]
-    gc.collect()
-    assert len(cox._PREPARED) < entries
-
-
 def test_concurrent_calls_on_one_objective_stay_consistent():
     """Threads sharing one objective each get the bits a lone caller gets:
     no result mixes one point's sweep with another's."""
@@ -448,7 +425,7 @@ def test_objective_holds_no_copy_of_covariates():
 
 
 def test_first_objective_allocates_no_design_sized_copy():
-    # the per-dataset state is O(n): no copy of this 5.76 MB design
+    # the objective's own state is O(n): no copy of this 5.76 MB design
     ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=8))
     assert traced_peak(lambda: CoxObjective(ds)) < 0.5e6
 

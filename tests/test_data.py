@@ -62,6 +62,22 @@ def test_invalid_rho_rejected():
         generate_covariates(Autoregressive(-0.1), 10, 2, seed=0)
 
 
+def test_design_rejects_rho_when_built():
+    for design in (ConstantCorrelation, Autoregressive):
+        for rho in (1.0, -0.1, math.nan):
+            with pytest.raises(ConfigError, match="rho must lie in"):
+                design(rho)
+
+
+def test_signal_rejects_non_finite_values():
+    # no draw can use an infinite or NaN coefficient; the error names the field
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="signal value must be finite"):
+            ConstantSignal(value)
+        with pytest.raises(ConfigError, match="signal values must be finite"):
+            DecayingSignal([1.0, value, 0.5])
+
+
 def test_simulate_censoring_fraction_band():
     # per-seed rates fluctuate a few points around the population value, so
     # the band is asserted on the across-seed mean

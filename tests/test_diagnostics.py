@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,8 +61,9 @@ def test_lse_caps():
     ds = random_dataset(rng, 30, 5)
     with pytest.raises(CapabilityError):
         lse_probe(ds, np.zeros(5), m=6, r=0.1)
-    with pytest.raises(ConfigError, match="radius"):
-        lse_probe(ds, np.zeros(5), m=2, r=-0.5)
+    for r in (-0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="radius"):
+            lse_probe(ds, np.zeros(5), m=2, r=r)
 
 
 def test_lse_positivity_well_sampled():
