@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -185,9 +186,18 @@ def _read_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _json_value(value):
+    """value with every float NaN, an undefined rate, as None: JSON null."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -237,11 +247,9 @@ def cmd_fit(cfg, out_dir, seed_override, threads):
         "wall_seconds": fit.seconds,
     }
     if truth is not None:
-        sel = selection_metrics(fit.beta, np.flatnonzero(truth != 0))
         summary["l2_error"] = l2_error(fit.beta, truth)
-        summary["selection"] = {"tp": sel.tp, "fp": sel.fp, "fn": sel.fn,
-                                "tn": sel.tn, "sensitivity": sel.sensitivity,
-                                "specificity": sel.specificity}
+        summary["selection"] = dataclasses.asdict(
+            selection_metrics(fit.beta, np.flatnonzero(truth != 0)))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0
 
@@ -306,7 +314,7 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
                             out_csv=os.path.join(out_dir, "results.csv"))
     _write_json(os.path.join(out_dir, "summary.json"), {
         "cells": result.cell_medians,
-        "failures": [{k: v for k, v in row.items()} for row in result.failures],
+        "failures": result.failures,
         "c_by_penalty": grid.c_by_penalty,
         "seed": grid.seed,
     })
@@ -315,7 +323,7 @@ def cmd_experiment(cfg, out_dir, seed_override, threads):
         _write_csv(os.path.join(out_dir, "table1.csv"), [("method", "l2", "tp", "fp"), *(
             (cell["method"], *(cell["median"][k] for k in ("l2", "tp", "fp")))
             for cell in result.cell_medians if cell["median"])])
-    return 5 if result.any_failed else 0
+    return 5 if result.failures else 0
 
 
 def cmd_diagnose(cfg, out_dir, seed_override, threads):
@@ -326,11 +334,8 @@ def cmd_diagnose(cfg, out_dir, seed_override, threads):
     beta_star = given.pop("beta_star", truth)
     if beta_star is None:
         raise ConfigError("beta_star missing and no truth sidecar available")
-    if len(beta_star) != dataset.p:
-        raise ConfigError(f"config.beta_star: {len(beta_star)} values, expected "
-                          f"p={dataset.p}")
-    report = lse_probe(dataset, np.asarray(beta_star, dtype=np.float64), **given)
-    _write_json(os.path.join(out_dir, "lse.json"), report.to_dict())
+    report = lse_probe(dataset, beta_star, **given)
+    _write_json(os.path.join(out_dir, "lse.json"), dataclasses.asdict(report))
     return 0
 
 

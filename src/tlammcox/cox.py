@@ -29,6 +29,7 @@ _GATHER_RATIO = 32
 _GATHER_MIN_P = 500
 _NEWTON_TOL = 1e-8
 _NEWTON_HALVINGS = 30
+_NEWTON_MAX_ITER = 100
 
 
 class CoxObjective:
@@ -199,14 +200,14 @@ class CoxObjective:
         return h
 
 
-def fit_restricted(dataset: SurvivalDataset, support, max_iter: int = 100) -> np.ndarray:
+def fit_restricted(dataset: SurvivalDataset, support) -> np.ndarray:
     """Minimize the partial likelihood over coordinates in `support`
     (everything else pinned to exactly 0) by damped Newton.
 
     Stops at ||restricted gradient||_inf <= _NEWTON_TOL; raises RankError on a
     singular restricted Hessian and IterationLimitError (carrying the last
-    iterate) if max_iter is exhausted, which happens e.g. under monotone
-    likelihood where no finite minimizer exists.
+    iterate) if _NEWTON_MAX_ITER steps are exhausted, which happens e.g.
+    under monotone likelihood where no finite minimizer exists.
     """
     support = np.asarray(sorted(set(int(j) for j in support)), dtype=np.intp)
     if support.size == 0:
@@ -224,7 +225,7 @@ def fit_restricted(dataset: SurvivalDataset, support, max_iter: int = 100) -> np
         return beta
 
     value, grad = obj.value_and_gradient(b)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if np.abs(grad).max() <= _NEWTON_TOL:
             return expand(b)
         hess = obj.hessian(b, p_cap=max(HESSIAN_P_CAP, support.size))
@@ -253,5 +254,5 @@ def fit_restricted(dataset: SurvivalDataset, support, max_iter: int = 100) -> np
     if np.abs(grad).max() <= _NEWTON_TOL:
         return expand(b)
     raise IterationLimitError(
-        f"restricted Newton did not reach tol={_NEWTON_TOL} in {max_iter} iterations",
+        f"restricted Newton did not reach tol={_NEWTON_TOL} in {_NEWTON_MAX_ITER} iterations",
         last_beta=expand(b))

@@ -316,6 +316,8 @@ def read_truth(csv_path, p):
     if truth.shape != (p,):
         raise DataError(f"truth sidecar {path}: true_beta has shape {truth.shape}, "
                         f"expected ({p},) for the data's p")
+    if not np.isfinite(truth).all():
+        raise DataError(f"truth sidecar {path}: true_beta has non-finite entries")
     return truth
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class LseReport:
     rho_plus: float
     probe_count: int
     beta_samples: str
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _l1_sphere_sample(rng, p, radius):
@@ -65,13 +62,18 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
         raise ConfigError(f"radius r must be non-negative and finite, got r={r}")
     if n_beta_samples < 0:
         raise ConfigError(f"n_beta_samples must be non-negative, got {n_beta_samples}")
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    if beta_star.shape != (p,):
+        raise ConfigError(f"beta_star has shape {beta_star.shape}, expected ({p},) "
+                          "for the data's p")
+    if not np.isfinite(beta_star).all():
+        raise ConfigError("beta_star has non-finite entries")
     k = min(m, p)
     n_supports = math.comb(p, k)
     if n_supports > LSE_SUPPORT_CAP:
         raise CapabilityError(
             f"{n_supports} supports exceed the enumeration cap {LSE_SUPPORT_CAP}")
 
-    beta_star = np.asarray(beta_star, dtype=np.float64)
     rng = np.random.default_rng(seed)
     points = [beta_star]
     if r > 0:

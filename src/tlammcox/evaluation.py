@@ -273,10 +273,6 @@ class ExperimentResult:
     cell_medians: list
     failures: list = field(default_factory=list)
 
-    @property
-    def any_failed(self) -> bool:
-        return bool(self.failures)
-
 
 def method_penalty_kind(method: str):
     if method not in METHODS:

@@ -20,6 +20,8 @@ __all__ = ["PenaltySpec", "lasso", "scad", "mcp", "derivative", "value",
 
 DEFAULT_SCAD_A = 3.7
 DEFAULT_MCP_GAMMA = 3.0
+# the shape parameter of each concave family: (name, lower bound, default)
+_SHAPES = {"scad": ("a", 2, DEFAULT_SCAD_A), "mcp": ("gamma", 1, DEFAULT_MCP_GAMMA)}
 
 
 @dataclass(frozen=True)
@@ -29,22 +31,18 @@ class PenaltySpec:
     shape: float = float("nan")
 
     def __post_init__(self):
-        if self.kind not in ("lasso", "scad", "mcp"):
+        if self.kind not in ("lasso", *_SHAPES):
             raise ConfigError(f"unknown penalty kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be a positive real")
-        if self.kind == "lasso":
-            object.__setattr__(self, "shape", float("inf"))
-        elif self.kind == "scad":
-            shape = DEFAULT_SCAD_A if np.isnan(self.shape) else self.shape
-            if not 2 < shape < np.inf:
-                raise ConfigError(f"SCAD requires a finite a > 2, got {shape}")
-            object.__setattr__(self, "shape", float(shape))
-        else:
-            shape = DEFAULT_MCP_GAMMA if np.isnan(self.shape) else self.shape
-            if not 1 < shape < np.inf:
-                raise ConfigError(f"MCP requires a finite gamma > 1, got {shape}")
-            object.__setattr__(self, "shape", float(shape))
+        shape = np.inf
+        if self.kind in _SHAPES:
+            name, bound, default = _SHAPES[self.kind]
+            shape = default if np.isnan(self.shape) else self.shape
+            if not bound < shape < np.inf:
+                raise ConfigError(f"{self.kind.upper()} requires a finite {name} > "
+                                  f"{bound}, got {shape}")
+        object.__setattr__(self, "shape", float(shape))
 
 
 def lasso(lam: float) -> PenaltySpec:

@@ -36,6 +36,8 @@ __all__ = ["SolverConfig", "SolverTrace", "TraceRecord", "FitResult",
            "omega", "lamm_step", "line_search", "stage1_lasso", "stage2",
            "tlamm", "ilamm"]
 
+_MAX_STAGES = 20          # I-LAMM's stage budget, the burn-in included
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -306,21 +308,18 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
-          config: SolverConfig = SolverConfig(),
-          max_stages: int = 20) -> FitResult:
+          config: SolverConfig = SolverConfig()) -> FitResult:
     """Iterative weighted-l1 baseline: after the burn-in, repeatedly solve
     an adaptive Lasso whose weights are the penalty derivative at the
     previous stage's coefficients; stops early once consecutive stage
     outputs are within eps2 in l2, or once a stage saturates or stalls;
-    running out of max_stages (burn-in included, at least 2) first clears
+    running out of _MAX_STAGES (burn-in included) first clears
     converged[1] and gives status max_iter."""
-    if max_stages < 2:
-        raise ConfigError("max_stages must be at least 2")
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
     b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
     beta = b1
-    for ell in range(2, max_stages + 1):
+    for ell in range(2, _MAX_STAGES + 1):
         b_prev = beta
         weights = np.asarray(derivative(spec, np.abs(b_prev)), dtype=np.float64)
         beta, _, _, phi = _lamm_loop(objective, weights, b_prev, config=config,

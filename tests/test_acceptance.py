@@ -152,7 +152,7 @@ def test_criterion_04_table1_reproduction(tuned_c):
         "TP == 10 all methods": all(med[m]["tp"] == 10 for m in med),
         "tlamm-mcp FP <= 2": med["tlamm-mcp"]["fp"] <= 2,
         "runtime <= 30 min": elapsed <= 1800,
-        "no failed cells": not res.any_failed,
+        "no failed cells": not res.failures,
     }
     detail = (f"L2 medians oracle {oracle:.3f}, lasso {lasso_:.3f}, "
               f"scad {med['tlamm-scad']['l2']:.3f}, mcp {med['tlamm-mcp']['l2']:.3f}; "

@@ -17,6 +17,16 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def read_json(path):
+    """The JSON file at path, parsed strictly: NaN and Infinity, which
+    json.loads accepts by default, are errors."""
+    return json.loads(path.read_text(), parse_constant=_not_json)
+
+
 def sim_config(seed=42, n=60, p=8, s=3):
     return {"n": n, "p": p, "s": s,
             "signal": {"kind": "constant", "value": 0.8},
@@ -51,7 +61,7 @@ def test_fit_outputs_with_truth_metrics(tmp_path, sim_out):
         "penalty": {"kind": "scad", "c": 0.65}})
     out = tmp_path / "fit"
     assert main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["converged"] == [True, True]
     assert summary["status"] == "converged"
     assert "l2_error" in summary and "selection" in summary
@@ -85,7 +95,7 @@ def test_fit_summary_takes_one_eta_product(tmp_path, sim_out, monkeypatch):
     out = tmp_path / "fit"
     assert main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
     assert len(products) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     beta = fits[0].beta
     spec = PenaltySpec("scad", summary["lambda"])
     ds = load_csv(sim_out / "dataset.csv")
@@ -114,7 +124,7 @@ def test_fit_ilamm_algorithm(tmp_path, sim_out):
         "penalty": {"kind": "mcp", "c": 0.8, "gamma": 3.0}})
     out = tmp_path / "il"
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads((out / "summary.json").read_text())["algorithm"] == "ilamm"
+    assert read_json(out / "summary.json")["algorithm"] == "ilamm"
 
 
 def test_cv_outputs(tmp_path):
@@ -126,7 +136,7 @@ def test_cv_outputs(tmp_path):
     assert main(["cv", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "cv.csv").read_text().strip().splitlines()
     assert lines[0] == "c,criterion" and len(lines) == 2
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["chosen_c"] == 0.4
     assert summary["chosen_lambda"] == pytest.approx(
         0.4 * math.sqrt(math.log(10) / 90))
@@ -188,8 +198,31 @@ def test_experiment_partial_failure_exit_5(tmp_path):
     # rows are flushed per rep, so the partial CSV is still well-formed
     lines = (out / "results.csv").read_text().strip().splitlines()
     assert len(lines) == 3
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert len(summary["failures"]) == 2
+
+
+def test_undefined_rate_is_null_in_json_and_nan_in_csv(tmp_path):
+    # at p = s no coordinate is a true negative, so specificity is 0/0;
+    # with a zero signal no coordinate is a true positive, so sensitivity is
+    sims = {"all": {"n": 60, "p": 3, "s": 3, "seed": 1},
+            "none": dict(sim_config(), signal={"kind": "constant", "value": 0.0})}
+    for name, sim in sims.items():
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "data": {"simulate": sim}, "penalty": {"kind": "scad", "c": 0.65}})
+        out = tmp_path / name
+        assert main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        sel = read_json(out / "summary.json")["selection"]
+        undefined = "specificity" if name == "all" else "sensitivity"
+        assert sel[undefined] is None
+    cfg = write_config(tmp_path, "grid.json", {"grid": {
+        "n": [60], "p": [3], "s": 3, "methods": ["tlamm-scad"], "reps": 1,
+        "c_by_penalty": {"scad": 0.65}}})
+    out = tmp_path / "grid"
+    assert main(["experiment", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert read_json(out / "summary.json")["cells"][0]["median"]["spec"] is None
+    header, row = (out / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["spec"] == "nan"
 
 
 def test_diagnose_outputs(tmp_path, sim_out):
@@ -198,7 +231,7 @@ def test_diagnose_outputs(tmp_path, sim_out):
         "m": 2, "r": 0.3, "n_beta_samples": 2, "seed": 1})
     out = tmp_path / "diag"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "lse.json").read_text())
+    report = read_json(out / "lse.json")
     assert set(report) == {"m", "r", "rho_minus", "rho_plus", "probe_count",
                            "beta_samples"}
     assert report["rho_minus"] <= report["rho_plus"]
@@ -265,7 +298,8 @@ def test_exit_code_config_error(tmp_path):
                              "reps": 1, "c_by_penalty": {"scad": 0.6},
                              "censoring": [2, 3, 99]}}, "censoring window"),
     ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
-                  "beta_star": [0.8, 0.8]}, "config.beta_star"),
+                  "beta_star": [0.8, 0.8]},
+     "beta_star has shape (2,), expected (8,) for the data's p"),
     # methods are checked before the tuning CV
     ("experiment", {"grid": {"n": [30], "p": [10], "s": 3, "methods": ["magic"],
                              "reps": 1, "tune": {"n": 40, "p": 5}}},
@@ -325,6 +359,8 @@ def test_exit_code_config_error(tmp_path):
      "radius r must be non-negative and finite"),
     ("simulate", dict(sim_config(), signal={"kind": "constant", "value": math.inf}),
      "signal value must be finite"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
+                  "beta_star": [math.nan] + [0.0] * 7}, "beta_star has non-finite entries"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -373,8 +409,9 @@ def test_foreign_penalty_shape_key_exits_2(tmp_path, capsys, command, kind,
 
 
 @pytest.mark.parametrize("sidecar", ['{"true_beta": [0.8', '{"seed": 42}',
-                                     '{"true_beta": [0.8, 0.8, 0.8]}'],
-                         ids=["invalid-json", "no-true-beta", "wrong-length"])
+                                     '{"true_beta": [0.8, 0.8, 0.8]}',
+                                     '{"true_beta": [NaN, 0, 0, 0, 0, 0, 0, 0]}'],
+                         ids=["invalid-json", "no-true-beta", "wrong-length", "non-finite"])
 def test_bad_truth_sidecar_is_a_data_error_before_the_fit(tmp_path, capsys, sim_out,
                                                            sidecar):
     (sim_out / "dataset.truth.json").write_text(sidecar)
@@ -475,7 +512,7 @@ def test_experiment_tune_block(tmp_path):
     out = tmp_path / "tune"
     assert main(["experiment", "--config", cfg, "--out", str(out),
                  "--threads", "1"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert "scad" in summary["c_by_penalty"]
     assert 0.05 <= summary["c_by_penalty"]["scad"] <= 1.0
 
@@ -555,7 +592,7 @@ def _without_wall_clock(path):
     if path.name == "results.csv":
         return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
     if path.name == "summary.json":
-        summary = json.loads(path.read_text())
+        summary = read_json(path)
         summary.pop("wall_seconds", None)
         for cell in summary.get("cells", []):
             cell["median"].pop("seconds", None)

@@ -473,14 +473,15 @@ def test_fit_restricted_matches_scalar_search():
     assert abs(beta[0] - res.x) <= 1e-6
 
 
-def test_fit_restricted_monotone_likelihood(two_point):
+def test_fit_restricted_monotone_likelihood(two_point, monkeypatch):
     # perfectly concordant pair: no finite minimizer. The likelihood
     # flattens so fast that the gradient tolerance is met at a huge
     # coefficient; a tight iteration cap surfaces the limit error instead.
     beta = fit_restricted(two_point, [0])
     assert beta[0] > 10.0
+    monkeypatch.setattr(cox, "_NEWTON_MAX_ITER", 3)
     with pytest.raises(IterationLimitError) as exc:
-        fit_restricted(two_point, [0], max_iter=3)
+        fit_restricted(two_point, [0])
     assert exc.value.last_beta is not None
 
 

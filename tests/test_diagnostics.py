@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,11 +67,21 @@ def test_lse_caps():
             lse_probe(ds, np.zeros(5), m=2, r=r)
 
 
+def test_lse_rejects_malformed_beta_star():
+    ds = random_dataset(np.random.default_rng(4), 30, 5)
+    for beta_star in (np.zeros(4), np.zeros((5, 1))):
+        with pytest.raises(ConfigError, match=r"beta_star has shape .*, expected \(5,\)"):
+            lse_probe(ds, beta_star, m=2, r=0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="beta_star has non-finite entries"):
+            lse_probe(ds, [0.0, bad, 0.0, 0.0, 0.0], m=2, r=0.1)
+
+
 def test_lse_positivity_well_sampled():
     ds, beta_star = simulate_dataset(SimulationConfig(n=500, p=15, s=3, seed=99))
     rep = lse_probe(ds, beta_star, m=3, r=0.5, n_beta_samples=3, seed=3)
     assert rep.rho_minus > 0.0
-    assert rep.to_dict()["m"] == 3
+    assert dataclasses.asdict(rep)["m"] == 3
 
 
 def test_gradient_scaling_in_n():

@@ -290,7 +290,7 @@ def test_run_experiment_single_cell(tmp_path):
     assert lines[0] == ("design,penalty,n,p,rep,l2,tp,fp,sens,spec,iters1,iters2,"
                         "status,seconds")
     assert len(lines) == 2
-    assert len(res.rows) == 1 and not res.any_failed
+    assert len(res.rows) == 1 and not res.failures
     assert res.cell_medians[0]["median"]["tp"] <= 3
     assert res.rows[0]["status"] == "converged"
     assert res.cell_medians[0]["reps_nonconverged"] == 0
@@ -361,7 +361,7 @@ def test_run_experiment_failures_marked(tmp_path):
                           censoring=(1e-9, 2e-9))
     out = tmp_path / "f.csv"
     res = run_experiment(grid, SolverConfig(), out_csv=out)
-    assert res.any_failed and len(res.failures) == 2
+    assert len(res.failures) == 2
     assert res.cell_medians[0]["reps_failed"] == 2
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3 and lines[1].endswith("nan")

@@ -353,9 +353,6 @@ def test_max_iter_flagged_not_raised():
     # an earlier capped stage decides the status when the last one converges
     fit = ilamm(ds, scad(0.08), SolverConfig(max_iter_stage=2))
     assert fit.converged == (False, False) and fit.status == "max_iter"
-    # I-LAMM with no reweighted stage would hand back its burn-in
-    with pytest.raises(ConfigError):
-        ilamm(ds, scad(0.08), SolverConfig(), max_stages=1)
     ds, _ = simulate_dataset(SimulationConfig(n=100, p=20, s=4, seed=20))
     fit = tlamm(ds, scad(0.3 * math.sqrt(math.log(20) / 100)),
                 SolverConfig(max_iter_stage=8))
@@ -364,12 +361,14 @@ def test_max_iter_flagged_not_raised():
     assert fit.trace.exits == ["max_iter", "converged"]
 
 
-def test_ilamm_stage_cap_clears_convergence_flag():
+def test_ilamm_stage_cap_clears_convergence_flag(monkeypatch):
     # the seed-7 benchmark fit needs more than one reweighted stage to
     # settle, so a cap of two stages cuts the loop off unconverged
     ds, _ = simulate_dataset(SimulationConfig(n=300, p=2400, s=10, seed=7))
     spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
-    capped = ilamm(ds, spec, SolverConfig(), max_stages=2)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_MAX_STAGES", 2)
+        capped = ilamm(ds, spec, SolverConfig())
     assert capped.converged == (True, False) and capped.status == "max_iter"
     assert capped.trace.exits == ["converged", "converged"]
     settled = ilamm(ds, spec, SolverConfig())
