@@ -28,7 +28,7 @@ from .diagnostics import lse_probe
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (ExperimentGrid, cross_validate, l2_error,
                          run_experiment, scaled_lambda, selection_metrics)
-from .penalties import PenaltySpec, shift_gradient
+from .penalties import _SHAPES, PenaltySpec, shift_gradient
 from .penalties import value as penalty_value
 from .solver import SolverConfig, ilamm, omega, tlamm
 
@@ -125,6 +125,8 @@ _parse_signal = _kind_of({"constant": ConstantSignal, "decaying": DecayingSignal
 
 # the simulation model, read alike by the simulate block and the grid
 _MODEL = {"s": _int, "signal": _parse_signal, "censoring": _list_of(_float)}
+# each concave family's shape key (SCAD's a, MCP's gamma), read as a float
+_SHAPE_KEYS = {name: _float for name, _bound, _default in _SHAPES.values()}
 
 
 def _parse_sim_config(obj, seed_override=None, where="simulate"):
@@ -141,8 +143,8 @@ def _parse_solver(obj):
 
 
 def _parse_penalty(obj, n, p):
-    given = _block(obj, {"kind": _str, "lambda": _float, "c": _float, "a": _float,
-                         "gamma": _float}, "penalty", ("kind",))
+    given = _block(obj, {"kind": _str, "lambda": _float, "c": _float, **_SHAPE_KEYS},
+                   "penalty", ("kind",))
     if ("lambda" in given) == ("c" in given):
         raise ConfigError("penalty: give exactly one of penalty.lambda or penalty.c")
     if p == 1 and "c" in given:
@@ -152,11 +154,11 @@ def _parse_penalty(obj, n, p):
 
 
 def _shape(given, kind, where):
-    """{"shape": SCAD's a or MCP's gamma} when given sets it, else {}; pops
-    both shape keys from given, and the shape key of another kind is a
+    """{"shape": the value of kind's shape key} when given sets it, else {};
+    pops every shape key from given, and the shape key of another kind is a
     ConfigError."""
-    key = {"scad": "a", "mcp": "gamma"}.get(kind)
-    shapes = {other: given.pop(other) for other in ("a", "gamma") if other in given}
+    key = _SHAPES[kind][0] if kind in _SHAPES else None
+    shapes = {name: given.pop(name) for name in _SHAPE_KEYS if name in given}
     foreign = sorted(set(shapes) - {key})
     if foreign:
         raise ConfigError(f"{where}.{foreign[0]}: not a shape of the {kind} penalty")
@@ -255,8 +257,8 @@ def cmd_fit(cfg, out_dir, seed_override, threads):
 
 
 def cmd_cv(cfg, out_dir, seed_override, threads):
-    given = _block(cfg, {"data": _later, "penalty_kind": _str, "a": _float,
-                         "gamma": _float, "solver": _parse_solver, "folds": _int,
+    given = _block(cfg, {"data": _later, "penalty_kind": _str, **_SHAPE_KEYS,
+                         "solver": _parse_solver, "folds": _int,
                          "c_grid": _list_of(_float), "seed": _int},
                    "config", ("data", "penalty_kind"), seed_override)
     dataset, _ = _load_data(given.pop("data"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -188,6 +189,12 @@ def build_risk_cache(dataset: SurvivalDataset) -> RiskSetCache:
 
 # --------------------------------------------------------------- simulator
 
+def check_seed(seed) -> None:
+    """The one seed rule of every seeded entry point: an integer in [0, 2**64)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """A model field left None takes the benchmark protocol's value: s =
@@ -215,8 +222,7 @@ class SimulationConfig:
         if len(self.censoring) != 2 or not 0 <= self.censoring[0] < self.censoring[1] < math.inf:
             raise ConfigError("censoring window must be (low, high) with "
                               f"0 <= low < high < inf, got {tuple(self.censoring)}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
 
     def true_beta(self) -> np.ndarray:
         beta = np.zeros(self.p)

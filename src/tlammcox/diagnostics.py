@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import CoxObjective
-from .data import SurvivalDataset
+from .data import SurvivalDataset, check_seed
 from .errors import CapabilityError, ConfigError
 
 __all__ = ["LseReport", "lse_probe"]
@@ -62,6 +62,7 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
         raise ConfigError(f"radius r must be non-negative and finite, got r={r}")
     if n_beta_samples < 0:
         raise ConfigError(f"n_beta_samples must be non-negative, got {n_beta_samples}")
+    check_seed(seed)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     if beta_star.shape != (p,):
         raise ConfigError(f"beta_star has shape {beta_star.shape}, expected ({p},) "

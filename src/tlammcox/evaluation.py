@@ -22,7 +22,7 @@ import numpy as np
 
 from .cox import CoxObjective, fit_restricted
 from .data import (Independent, Signal, SimulationConfig, SurvivalDataset,
-                   simulate_dataset, write_rows)
+                   check_seed, simulate_dataset, write_rows)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
 from .penalties import PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
@@ -181,8 +181,11 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
     c_grid = sorted(default_c_grid() if c_grid is None else [float(c) for c in c_grid])
     if not c_grid or any(c <= 0 for c in c_grid):
         raise ConfigError("c grid must be non-empty and positive")
+    if len(set(c_grid)) < len(c_grid):
+        raise ConfigError(f"c_grid must not repeat a value, got {c_grid}")
     if folds < 2 or folds > dataset.n:
         raise ConfigError("folds must lie in [2, n]")
+    check_seed(seed)
     parts, fold_seed = _make_folds(dataset.n, folds, seed, dataset.status)
     full_obj = CoxObjective(dataset)
     trains, train_objs = [], []
@@ -251,6 +254,7 @@ class ExperimentGrid:
                 raise ConfigError(f"method {m!r} needs c_by_penalty[{kind!r}]")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
+        check_seed(self.seed)
         # every cell's model and penalty levels are checked before any runs
         for design, n, p in itertools.product(self.designs, self.n_values, self.p_values):
             self.simulation(design, n, p, 0)

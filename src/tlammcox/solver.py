@@ -37,6 +37,7 @@ __all__ = ["SolverConfig", "SolverTrace", "TraceRecord", "FitResult",
            "tlamm", "ilamm"]
 
 _MAX_STAGES = 20          # I-LAMM's stage budget, the burn-in included
+_MAX_PHI = 1e12           # the line search's curvature cap
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class SolverConfig:
     eps1: float = 0.002
     eps2: float = 0.002
     max_iter_stage: int = 2000
-    max_phi: float = 1e12
 
     def __post_init__(self):
         # each test is written so that a NaN fails it
@@ -54,8 +54,8 @@ class SolverConfig:
             raise ConfigError("gamma_u must exceed 1")
         if not (self.phi0 > 0 and self.eps1 > 0 and self.eps2 > 0):
             raise ConfigError("phi0, eps1, eps2 must be positive")
-        if not self.phi0 <= self.max_phi:
-            raise ConfigError("phi0 must not exceed max_phi")
+        if not self.phi0 <= _MAX_PHI:
+            raise ConfigError(f"phi0 must not exceed {_MAX_PHI:g}")
         if not (isinstance(self.max_iter_stage, numbers.Integral)
                 and self.max_iter_stage >= 1):
             raise ConfigError("max_iter_stage must be a positive integer, "
@@ -153,9 +153,9 @@ def line_search(loss_fn, beta, loss_at_beta, grad_at_beta, phi_prev, lam,
         if math.isfinite(cand_loss) and cand_loss <= model:
             return cand, phi, cand_loss, math.sqrt(sq), model - cand_loss
         phi *= config.gamma_u
-        if phi > config.max_phi:
+        if phi > _MAX_PHI:
             raise LineSearchError(
-                f"no majorizing phi below {config.max_phi:g}; "
+                f"no majorizing phi below {_MAX_PHI:g}; "
                 "loss landscape non-finite or gradient inconsistent")
 
 
@@ -250,7 +250,7 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
         if w <= eps:
             return done(k, "converged")
         if step_norm == 0.0:
-            # bitwise fixed point of the update map: below max_phi a zero
+            # bitwise fixed point of the update map: below _MAX_PHI a zero
             # step is only reachable once omega sits at the float64 floor,
             # so no representable descent remains
             return done(k, "stalled")

@@ -16,6 +16,7 @@ from tlammcox import (CoxObjective, Independent, SimulationConfig,
                       SolverConfig, SurvivalDataset, concordance_index,
                       cross_validate, fit_restricted, lse_probe, mcp, omega,
                       scad, simulate_dataset, tlamm)
+from tlammcox import evaluation
 from tlammcox.evaluation import ExperimentGrid, run_experiment
 from tlammcox.penalties import value as penalty_value
 from tlammcox.solver import stage1_lasso, stage2
@@ -217,29 +218,48 @@ def test_criterion_06_strong_oracle_agreement():
                f"(>=45); max coefficient gap {worst_gap:.2e} (<=1e-6)")
 
 
-def test_criterion_07_cost_vs_ilamm(tuned_c):
+def test_criterion_07_cost_vs_ilamm(tuned_c, monkeypatch):
     grid = ExperimentGrid(
         n_values=(300,), p_values=(800, 2400), designs=(Independent(),),
         methods=("tlamm-scad", "tlamm-mcp", "ilamm-scad", "ilamm-mcp"),
         reps=10, seed=77,
         c_by_penalty={k: tuned_c[k] for k in ("scad", "mcp")})
+    # gradient sweeps of each fit, in call order, which the serial run
+    # shares with its rows
+    sweeps = []
+
+    def counted(fit_fn):
+        def fit(*args):
+            result = fit_fn(*args)
+            sweeps.append(sum(w.vg_hits + w.vg_fresh for w in result.trace.work))
+            return result
+        return fit
+
+    for name in ("tlamm", "ilamm"):
+        monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
     res = run_experiment(grid, SolverConfig(), threads=1)   # clean timing
-    rows = {(r["penalty"], r["p"], r["rep"]): r for r in res.rows}
-    ratios, l2_pairs = [], []
+    assert not res.failures and len(sweeps) == len(res.rows)
+    rows = {(r["penalty"], r["p"], r["rep"]): dict(r, sweeps=k)
+            for r, k in zip(res.rows, sweeps)}
+    ratios, sweep_ratios, l2_pairs = [], [], []
     for kind in ("scad", "mcp"):
         for p in (800, 2400):
             for rep in range(10):
                 t = rows[(f"tlamm-{kind}", p, rep)]
                 i = rows[(f"ilamm-{kind}", p, rep)]
                 ratios.append(t["seconds"] / i["seconds"])
+                sweep_ratios.append(t["sweeps"] / i["sweeps"])
             med = {c["method"]: c["median"]["l2"] for c in res.cell_medians
                    if c["p"] == p}
             l2_pairs.append((med[f"tlamm-{kind}"], med[f"ilamm-{kind}"]))
     ratio_med = float(np.median(ratios))
+    sweep_med = float(np.median(sweep_ratios))
     l2_ok = all(abs(a - b) <= 0.2 * max(a, b) for a, b in l2_pairs)
-    ok = ratio_med <= 0.9 and l2_ok
+    ok = ratio_med <= 0.9 and sweep_med <= 0.9 and l2_ok
     report(7, "TLAMM vs I-LAMM cost",
-           ok, f"median wall-time ratio {ratio_med:.3f} (<=0.9); per-cell L2 "
+           ok, f"median wall-time ratio {ratio_med:.3f} (<=0.9); median gradient-"
+               f"sweep ratio {sweep_med:.3f} (<=0.9, range {min(sweep_ratios):.3f}-"
+               f"{max(sweep_ratios):.3f}); per-cell L2 "
                f"pairs within 20%: {l2_ok} {[(round(a,3), round(b,3)) for a, b in l2_pairs]}")
 
 

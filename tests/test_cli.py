@@ -361,6 +361,20 @@ def test_exit_code_config_error(tmp_path):
      "signal value must be finite"),
     ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3,
                   "beta_star": [math.nan] + [0.0] * 7}, "beta_star has non-finite entries"),
+    # one seed rule at every seeded entry point; a bad grid seed fails
+    # before results.csv opens
+    ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "lasso",
+            "c_grid": [0.5], "seed": -1}, "seed must be an unsigned 64-bit integer"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": {"scad": 0.6}, "seed": -2}},
+     "seed must be an unsigned 64-bit integer"),
+    ("diagnose", {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3, "seed": -4},
+     "seed must be an unsigned 64-bit integer"),
+    ("cv", {"data": {"simulate": sim_config()}, "penalty_kind": "lasso",
+            "c_grid": [0.5, 0.5, 1.0]}, "c_grid must not repeat a value"),
+    # the curvature cap is a constant, not a setting
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"max_phi": 1},
+             "penalty": {"kind": "scad", "c": 0.65}}, "unknown keys ['max_phi']"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -463,11 +477,12 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-def test_exit_code_solver_failure(tmp_path, sim_out):
+def test_exit_code_solver_failure(tmp_path, sim_out, monkeypatch):
+    monkeypatch.setattr("tlammcox.solver._MAX_PHI", 0.15)
     cfg = write_config(tmp_path, "sf.json", {
         "data": {"csv": str(sim_out / "dataset.csv")},
         "penalty": {"kind": "lasso", "lambda": 0.01},
-        "solver": {"phi0": 0.1, "max_phi": 0.15}})
+        "solver": {"phi0": 0.1}})
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
 
 
@@ -478,6 +493,22 @@ def test_seed_override(tmp_path):
     cfg2 = write_config(tmp_path, "so2.json", sim_config(seed=9))
     assert main(["simulate", "--config", cfg2, "--out", str(b)]) == 0
     assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    configs = {
+        "simulate": sim_config(),
+        "cv": {"data": {"simulate": sim_config()}, "penalty_kind": "lasso", "c_grid": [0.5]},
+        "experiment": {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                                "reps": 1, "c_by_penalty": {"scad": 0.6}}},
+        "diagnose": {"data": {"simulate": sim_config()}, "m": 2, "r": 0.3},
+    }
+    for command, payload in configs.items():
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 def test_simulate_benchmark_scale_under_10s(tmp_path):
@@ -565,8 +596,7 @@ def _defaults_config(command, mode):
         mode, signal={"kind": "constant", "value": 0.8},
         design={"kind": "independent"}, censoring=[2, 3])}
     solver = _optional(mode, solver={"phi0": 0.1, "gamma_u": 2.0, "eps1": 0.002,
-                                     "eps2": 0.002, "max_iter_stage": 2000,
-                                     "max_phi": 1e12})
+                                     "eps2": 0.002, "max_iter_stage": 2000})
     if command == "simulate":
         return sim
     if command == "fit":

@@ -55,6 +55,15 @@ def test_censoring_window_must_be_finite_and_non_negative():
     assert SimulationConfig(n=10, p=5, censoring=(0.0, 1.0)).censoring == (0.0, 1.0)
 
 
+def test_seed_rule():
+    # an integer in [0, 2**64): a fractional seed is refused, not truncated
+    for seed in (1.5, -1, 2**64, "3"):
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+            SimulationConfig(n=20, p=5, seed=seed)
+    for seed in (0, 2**64 - 1, np.uint64(7)):
+        assert SimulationConfig(n=20, p=5, seed=seed).seed == seed
+
+
 def test_invalid_rho_rejected():
     with pytest.raises(ConfigError):
         generate_covariates(ConstantCorrelation(1.0), 10, 2, seed=0)

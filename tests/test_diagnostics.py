@@ -65,6 +65,9 @@ def test_lse_caps():
     for r in (-0.5, math.inf, math.nan):
         with pytest.raises(ConfigError, match="radius"):
             lse_probe(ds, np.zeros(5), m=2, r=r)
+    for seed in (-4, 0.5):
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+            lse_probe(ds, np.zeros(5), m=2, r=0.1, seed=seed)
 
 
 def test_lse_rejects_malformed_beta_star():

@@ -220,6 +220,20 @@ def test_c_at_one_covariate_is_a_config_error_naming_log_p():
                        reps=1, c_by_penalty={"scad": 0.6}, s=1)
 
 
+def test_cross_validate_checks_seed_and_c_grid_before_any_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fitted")
+
+    monkeypatch.setattr(evaluation, "tlamm", no_fit)
+    ds, _ = simulate_dataset(SimulationConfig(n=60, p=5, s=2, seed=5))
+    for seed in (-1, 0.5, 2**64):
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+            cross_validate(ds, "lasso", c_grid=[0.5], seed=seed)
+    with pytest.raises(ConfigError,
+                       match=r"c_grid must not repeat a value, got \[0.5, 0.5, 1.0\]"):
+        cross_validate(ds, "lasso", c_grid=[1.0, 0.5, 0.5])
+
+
 def test_cross_validate_eventless_fold_error():
     times = np.linspace(1, 2, 9)
     status = np.zeros(9)
@@ -254,6 +268,10 @@ def test_grid_validation():
             ExperimentGrid(**{"n_values": (50,), "p_values": (10,),
                               "designs": (Independent(),), "methods": ("lasso",),
                               "reps": 1, "c_by_penalty": {"lasso": 0.45}, **empty})
+    for seed in (-2, 1.5, 2**64):
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+            ExperimentGrid(n_values=(30,), p_values=(10,), methods=("lasso",),
+                           reps=1, seed=seed, c_by_penalty={"lasso": 0.45})
 
 
 def test_grid_rejects_repeated_values():

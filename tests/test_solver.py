@@ -156,8 +156,9 @@ def test_line_search_majorizes_cox():
     assert cand_loss <= model + 1e-12
 
 
-def test_line_search_failure():
-    cfg = SolverConfig(phi0=0.1, max_phi=0.2)
+def test_line_search_failure(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_PHI", 0.2)
+    cfg = SolverConfig(phi0=0.1)
     beta = np.array([1.0])
     with pytest.raises(LineSearchError):
         line_search(lambda b: 0.5 * float(b @ b), beta, 0.5, beta.copy(),
@@ -170,8 +171,8 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(phi0=-1.0)
     with pytest.raises(ConfigError):
-        SolverConfig(phi0=2.0, max_phi=1.0)
-    for name in ("phi0", "gamma_u", "eps1", "eps2", "max_phi", "max_iter_stage"):
+        SolverConfig(phi0=2e12)         # above the curvature cap
+    for name in ("phi0", "gamma_u", "eps1", "eps2", "max_iter_stage"):
         with pytest.raises(ConfigError):
             SolverConfig(**{name: float("nan")})
 
@@ -258,7 +259,7 @@ def test_trace_invariants_benchmark_fit():
             assert r.majorization_gap >= -1e-10
             drop = f_prev - r.objective
             assert drop >= 0.5 * r.phi * r.step_norm**2 - 1e-10
-            assert cfg.phi0 <= r.phi <= cfg.max_phi
+            assert cfg.phi0 <= r.phi <= solver._MAX_PHI
             start = max(cfg.phi0, phi_prev / cfg.gamma_u)
             ladder = math.log(r.phi / start, cfg.gamma_u)
             assert abs(ladder - round(ladder)) < 1e-9 and round(ladder) >= 0
@@ -293,7 +294,7 @@ def test_float_floor_stall_is_flagged():
     assert fit.status == "stalled" and not fit.converged[1]
     assert last.stage == 2 and last.step_norm == 0.0 and last.omega > 1e-14
     # I-LAMM stops at a stalled stage: the next stage would start from a
-    # curvature so large that no trial below max_phi gives a representable
+    # curvature so large that no trial below _MAX_PHI gives a representable
     # decrease, and its line search would raise
     ds, _ = simulate_dataset(SimulationConfig(n=60, p=6, s=3, seed=14))
     fit = ilamm(ds, mcp(0.3 * math.sqrt(math.log(6) / 60)),
@@ -325,7 +326,7 @@ def test_ilamm_stage_at_float_floor_stops_stalled():
     # stage 1 (weight 1) converges at 0 and an I-LAMM stage (weight w)
     # steps from there onto t, predicting a decrease of 0.5 phi t^2 ~ 1e-18,
     # far below one ulp of the loss. From t every candidate reads higher
-    # than the model, so the line search runs past max_phi, and the stage
+    # than the model, so the line search runs past _MAX_PHI, and the stage
     # ends stalled instead of raising
     cfg = SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000)
     w, phi = 1.0 - 1e-6, 2.0 ** 20
@@ -465,10 +466,11 @@ def test_ilamm_stops_at_saturated_stage():
     assert fit.support.size == later[-1].support
 
 
-def test_line_search_failure_propagates_from_fit():
+def test_line_search_failure_propagates_from_fit(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_PHI", 0.15)
     ds, _ = simulate_dataset(SimulationConfig(n=100, p=10, s=3, seed=16))
     with pytest.raises(LineSearchError):
-        tlamm(ds, lasso(0.01), SolverConfig(phi0=0.1, max_phi=0.15))
+        tlamm(ds, lasso(0.01), SolverConfig(phi0=0.1))
 
 
 def test_stage2_support_recovery_strong_signal():
