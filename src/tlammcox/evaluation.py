@@ -7,7 +7,8 @@ sum_k [ n * nll_full(beta_k) - n_train * nll_train(beta_k) ]: subtracting
 the training likelihood at the training fit avoids the bias a per-fold
 partial likelihood picks up from fold-specific risk sets. A c with a
 fold fit that did not converge (saturated, max_iter or stalled) is never
-preferred to one whose fold fits all converged.
+preferred to one whose fold fits all converged. Each fold's c grid is fit
+as one path, largest c first, each smaller c warm from the previous fit.
 """
 
 from __future__ import annotations
@@ -151,22 +152,35 @@ class CvResult:
 
 
 def _make_folds(n, n_folds, seed, status):
-    """Seeded permutation partition; resplit (seed+1, ..., seed+9) until
-    every training part holds an event."""
+    """Seeded permutation partition; resplit (seed+1, ..., seed+9, mod
+    2**64 so the seed used stays a valid seed) until every training part
+    holds an event."""
     for attempt in range(10):
-        rng = np.random.default_rng(seed + attempt)
-        parts = np.array_split(rng.permutation(n), n_folds)
+        fold_seed = (seed + attempt) % 2**64
+        parts = np.array_split(np.random.default_rng(fold_seed).permutation(n), n_folds)
         if all(np.delete(status, part).any() for part in parts):
-            return [np.sort(part) for part in parts], seed + attempt
+            return [np.sort(part) for part in parts], fold_seed
     raise DataError(
         f"could not split into {n_folds} folds with events in every "
         "training part after 10 attempts")
 
 
 def _cv_fit_task(args):
-    train, spec, config = args
-    fit = tlamm(train, spec, config)
-    return fit.beta, fit.status
+    """One fold fit, warm from `start` (the previous c's fit) when given."""
+    train, spec, config, start = args
+    return tlamm(train, spec, config, start=start)
+
+
+def _cv_fold_path(args):
+    """One fold's c grid as a path: specs run from the largest c down, the
+    first fit cold and each next one warm from the fit before it. Returns
+    (beta, status) per spec, in the order given."""
+    train, specs, config = args
+    fit, out = None, []
+    for spec in specs:
+        fit = _cv_fit_task((train, spec, config, fit))
+        out.append((fit.beta, fit.status))
+    return out
 
 
 def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
@@ -177,6 +191,11 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
     smallest c, and a c with an unconverged fold fit loses to any c whose
     fold fits all converged. Every fold fit for a given c uses the same
     lambda_c = c sqrt(log p / n) with n the full-sample size.
+
+    Each fold is one task: its fits run from the largest c down, each warm
+    from the one before, so a fold fit depends on its neighbouring c, and
+    a saturated fit leaves every smaller c of its fold saturated with no
+    step. More threads than folds add nothing.
     """
     c_grid = sorted(default_c_grid() if c_grid is None else [float(c) for c in c_grid])
     if not c_grid or any(c <= 0 for c in c_grid):
@@ -196,19 +215,18 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
         trains.append(train)
         train_objs.append(CoxObjective(train))
 
-    tasks = []
-    for c in c_grid:
-        lam = scaled_lambda(c, dataset.n, dataset.p)
-        for train in trains:
-            tasks.append((train, PenaltySpec(penalty_kind, lam, shape), config))
-    fits = iter(list(_pmap(_cv_fit_task, tasks, threads)))
+    specs = [PenaltySpec(penalty_kind, scaled_lambda(c, dataset.n, dataset.p), shape)
+             for c in reversed(c_grid)]
+    # per fold, (beta, status) from the largest c down; reversed to c order
+    paths = [path[::-1] for path in
+             _pmap(_cv_fold_path, [(train, specs, config) for train in trains], threads)]
 
     criteria, statuses = [], []
-    for _c in c_grid:
+    for i in range(len(c_grid)):
         total = 0.0
         c_statuses = []
-        for train, train_obj in zip(trains, train_objs):
-            beta, status = next(fits)
+        for train, train_obj, path in zip(trains, train_objs, paths):
+            beta, status = path[i]
             c_statuses.append(status)
             total += dataset.n * full_obj.nll(beta) - train.n * train_obj.nll(beta)
         criteria.append(total)

@@ -99,10 +99,10 @@ class SolverTrace:
 @dataclass
 class FitResult:
     beta: np.ndarray
-    stage1_beta: np.ndarray
+    stage1_beta: np.ndarray           # where stage 2 started: stage 1's output or a warm start
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
-    converged: tuple                  # (stage1, stage2)
+    converged: tuple                  # (stage1, stage2); a warm fit runs no stage 1 to fail
     # how the fit ended: the last entry of trace.exits that is not
     # "converged", else "converged"; I-LAMM out of stages gives "max_iter"
     status: str
@@ -257,17 +257,19 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     return done(config.max_iter_stage, "max_iter")
 
 
-def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False):
+def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False, warm=False):
     """FitResult read from the trace by one rule: steps are (stage-1
     records, the rest); stage 1 converged when its exit did, the later
-    stages when all theirs did and I-LAMM did not run out of stages."""
+    stages when all theirs did and I-LAMM did not run out of stages. A
+    warm trace holds no stage 1, so all its exits are later stages."""
     k1 = sum(r.stage == 1 for r in trace.records)
     status = "max_iter" if out_of_stages else next(
         (why for why in reversed(trace.exits) if why != "converged"), "converged")
-    later_ok = not out_of_stages and all(why == "converged" for why in trace.exits[1:])
+    later = trace.exits if warm else trace.exits[1:]
+    later_ok = not out_of_stages and all(why == "converged" for why in later)
     return FitResult(beta=beta, stage1_beta=stage1_beta,
                      iterations=(k1, len(trace.records) - k1), trace=trace,
-                     converged=(trace.exits[0] == "converged", later_ok),
+                     converged=(warm or trace.exits[0] == "converged", later_ok),
                      status=status, seconds=time.perf_counter() - t0)
 
 
@@ -294,17 +296,28 @@ def stage2(objective: CoxObjective, spec: PenaltySpec, config: SolverConfig,
 
 
 def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
-          config: SolverConfig = SolverConfig()) -> FitResult:
+          config: SolverConfig = SolverConfig(), start: FitResult | None = None) -> FitResult:
     """Two-stage fit: l1 burn-in at lambda, then direct LAMM on the shifted
-    folded-concave objective from the stage-1 iterate, on one trace."""
+    folded-concave objective from the stage-1 iterate, on one trace.
+
+    Given `start`, a fit at a neighbouring lambda on the same data (a warm
+    start along a path), stage 1 is skipped: stage 2 runs from start.beta
+    at start's last curvature, and the fit reports only that stage. The
+    curvature falls back to phi0 when start took no step, or stalled, which
+    leaves phi near the line search's cap."""
     t0 = time.perf_counter()
     objective = CoxObjective(dataset)
-    b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
+    if start is None:
+        b1, _, _, trace, phi = stage1_lasso(objective, spec.lam, config)
+    else:
+        b1, trace = start.beta, SolverTrace()
+        records = start.trace.records
+        phi = records[-1].phi if records and start.status != "stalled" else None
     beta, _, _, trace2, _ = stage2(objective, spec, config, b1, phi)
     trace.records += trace2.records
     trace.exits += trace2.exits
     trace.work += trace2.work
-    return _fit_result(beta, b1, trace, t0)
+    return _fit_result(beta, b1, trace, t0, warm=start is not None)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,

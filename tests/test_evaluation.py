@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
                       UndefinedMetricError, concordance_index, cross_validate,
                       l2_error, selection_metrics, simulate_dataset)
 from tlammcox import evaluation
-from tlammcox.data import Autoregressive
+from tlammcox.data import Autoregressive, check_seed
 from tlammcox.errors import LineSearchError
 from tlammcox.evaluation import (ExperimentGrid, default_c_grid,
                                  method_penalty_kind, run_experiment)
@@ -183,11 +184,13 @@ def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
     marked = []
 
     def saturate_one_fold_of_best_c(args):
-        beta, status = fit_task(args)
+        # the marked fit is handed on as the next c's start unchanged but
+        # for its status, so every beta and criterion stays as it was
+        fit = fit_task(args)
         if args[1].lam == plain.chosen_lambda and not marked:
             marked.append(args)
-            status = "saturated"
-        return beta, status
+            fit = dataclasses.replace(fit, status="saturated")
+        return fit
 
     monkeypatch.setattr(evaluation, "_cv_fit_task", saturate_one_fold_of_best_c)
     res = cross_validate(ds, "scad", c_grid=grid, seed=3)
@@ -199,15 +202,67 @@ def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
 
 
 def test_cross_validate_scores_only_finished_fits():
-    # under a 14-step cap one fold fit at c = 0.6 (17 stage-2 steps uncapped)
-    # ends max_iter, and its unfinished beta gives 0.6 the lower criterion;
-    # every fold fit at c = 0.1 takes at most 12 steps per stage
-    ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=7))
+    # under a 14-step cap the first fold's fit at c = 0.6, the cold end of
+    # its path (19 stage-2 steps uncapped), ends max_iter, and its
+    # unfinished beta gives 0.6 the lower criterion; every fold fit at
+    # c = 0.1, warm from its fold's 0.6 fit, converges in at most 13 steps
+    ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=5))
     res = cross_validate(ds, "scad", c_grid=[0.1, 0.6], seed=3,
                          config=SolverConfig(max_iter_stage=14))
     assert res.statuses[0] == ("converged",) * 3 and "max_iter" in res.statuses[1]
     assert res.criteria[1] < res.criteria[0]
     assert res.chosen_c == 0.1
+
+
+def test_cross_validate_is_alike_at_any_pool_size():
+    # one task per fold path, so a pool of three runs each fold's path whole
+    ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=6))
+    one, three = (cross_validate(ds, "scad", c_grid=[0.2, 0.4, 0.6], seed=3, threads=t)
+                  for t in (1, 3))
+    assert one == three
+
+
+def test_cross_validate_runs_each_fold_as_a_path(monkeypatch):
+    # largest c first and cold, then warm down the grid; once a fold's fit
+    # saturates, every smaller c of that fold starts saturated, takes no step
+    ds, _ = simulate_dataset(SimulationConfig(n=80, p=60, s=4, seed=2))
+    fits = []
+    fit_tlamm = evaluation.tlamm
+
+    def recording(train, spec, config, start=None):
+        fit = fit_tlamm(train, spec, config, start=start)
+        fits.append((spec.lam, start, fit))
+        return fit
+
+    monkeypatch.setattr(evaluation, "tlamm", recording)
+    res = cross_validate(ds, "scad", c_grid=[0.1, 0.2, 0.3, 0.5], seed=1)
+    assert len(fits) == 12
+    paths = [fits[k:k + 4] for k in range(0, 12, 4)]
+    for fold, path in enumerate(paths):
+        assert [lam for lam, _, _ in path] == sorted((lam for lam, _, _ in path), reverse=True)
+        assert path[0][1] is None and path[0][2].iterations[0] > 0
+        assert all(start is prev for (_, start, _), (_, _, prev) in zip(path[1:], path))
+        assert [fit.status for _, _, fit in path] == [s[fold] for s in res.statuses[::-1]]
+    saturated = [[fit.status == "saturated" for _, _, fit in path] for path in paths]
+    assert any(any(flags[:-1]) for flags in saturated)
+    for path, flags in zip(paths, saturated):
+        first = flags.index(True) if True in flags else len(flags)
+        assert all(flags[first:])
+        assert all(fit.iterations == (0, 0) for _, _, fit in path[first + 1:])
+
+
+def test_cross_validate_fold_seed_wraps_at_the_top_of_the_range():
+    # seed 2**64 - 1 puts both events in one fold, so the resplit seed wraps
+    # to 0: a valid seed that, passed back, gives the same folds
+    status = np.zeros(6)
+    status[[0, 3]] = 1
+    ds = SurvivalDataset(np.arange(1.0, 7.0), status,
+                         np.random.default_rng(1).standard_normal((6, 2)))
+    res = cross_validate(ds, "lasso", c_grid=[0.5, 1.0], seed=2**64 - 1)
+    assert res.fold_seed == 0
+    check_seed(res.fold_seed)
+    again = cross_validate(ds, "lasso", c_grid=[0.5, 1.0], seed=res.fold_seed)
+    assert again.fold_seed == 0 and again.criteria == res.criteria
 
 
 def test_c_at_one_covariate_is_a_config_error_naming_log_p():

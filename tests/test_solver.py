@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -453,6 +454,55 @@ def test_stage2_neither_returns_nor_changes_its_init():
         assert (k > 0) == steps
         assert beta is not init and not np.shares_memory(beta, init)
         assert init.tobytes() == saved
+
+
+def warm_input():
+    ds, _ = simulate_dataset(SimulationConfig(n=120, p=30, s=5, seed=11))
+    return ds, lambda c: scad(c * math.sqrt(math.log(30) / 120))
+
+
+def test_warm_fit_reports_only_its_own_stage2():
+    # a start from far up the path, cut after one step: the warm fit's
+    # status and converged[1] are its own stage 2's, not a vacuous pass
+    ds, spec = warm_input()
+    far = tlamm(ds, spec(1.2))
+    fit = tlamm(ds, spec(0.3), SolverConfig(max_iter_stage=1), start=far)
+    assert fit.status == "max_iter" and fit.converged[1] is False
+    assert fit.iterations == (0, 1) and fit.trace.exits == ["max_iter"]
+    assert len(fit.trace.work) == 1 and [r.stage for r in fit.trace.records] == [2]
+    assert fit.stage1_beta is far.beta and len(far.trace.exits) == 2
+
+
+def test_warm_fit_from_a_converged_fit_at_its_lambda_takes_no_step():
+    ds, spec = warm_input()
+    for c in (1.2, 0.3):
+        done = tlamm(ds, spec(c))
+        fit = tlamm(ds, spec(c), start=done)
+        assert fit.iterations == (0, 0) and fit.converged == (True, True)
+        assert fit.status == "converged" and fit.trace.records == []
+        assert fit.beta.tobytes() == done.beta.tobytes()
+        assert not np.shares_memory(fit.beta, done.beta)
+
+
+def test_warm_fit_starts_at_the_last_curvature_unless_stalled(monkeypatch):
+    ds, spec = warm_input()
+    start = tlamm(ds, spec(0.65))
+    assert start.trace.records[-1].phi != SolverConfig().phi0
+    phis = []
+    search = solver.line_search
+
+    def first_phi(loss_fn, beta, loss, grad, phi_prev, *rest):
+        phis.append(phi_prev)
+        return search(loss_fn, beta, loss, grad, phi_prev, *rest)
+
+    monkeypatch.setattr(solver, "line_search", first_phi)
+    stalled = dataclasses.replace(start, status="stalled")
+    no_step = dataclasses.replace(start, trace=solver.SolverTrace())
+    for begin, phi in [(start, start.trace.records[-1].phi),
+                       (stalled, SolverConfig().phi0), (no_step, SolverConfig().phi0)]:
+        phis.clear()
+        assert tlamm(ds, spec(0.3), start=begin).iterations[1] > 0
+        assert phis[0] == phi
 
 
 def test_ilamm_stops_at_saturated_stage():
