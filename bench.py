@@ -5,13 +5,14 @@ BENCH_<label>.json; then compare two such files.
     python bench.py --label cv_path --workload cv_tune --pairs 10 --against ../parent
     python bench.py --compare BENCH_baseline.json BENCH_cv_path.json
 
-Each run is `python perfbench/run.py --workload W --seed S --seconds T
+Each run is `python perfbench/run.py --workload W --seed 1 --seconds T
 --trace 0` in the tree's own root, so each tree measures its own sources.
 With --against, each pair runs both trees, the first one first in even
 pairs and the other first in odd pairs, so slow drift on the machine
-falls on both alike; the other tree's runs go to BENCH_baseline.json. A run records the `# env` line, every
-`metric` line, the result JSON, its exit code, and the wall and CPU
-seconds of the subprocess and its children. A file
+falls on both alike; the other tree's runs go to BENCH_baseline.json.
+The BENCH files are written to the current directory. A run records the
+`# env` line, every `metric` line, the result JSON, its exit code, and
+the wall and CPU seconds of the subprocess and its children. A file
 names its tree by a digest of src/tlammcox/*.py, so two files measured on
 one source show the same digest. Only files made on one machine in one
 session compare.
@@ -33,6 +34,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.abspath(__file__))
 END_TO_END = ("setup_s", "ops_per_s", "peak_rss_mb")
 BASELINE = "baseline"     # the label of the --against tree's runs
+SEED = 1                  # perfbench's seed in every run
 
 
 def source_digest(tree):
@@ -46,7 +48,7 @@ def source_digest(tree):
 def run_once(tree, args):
     """One perfbench run in `tree`: its parsed output and costs."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(args.seconds), "--trace", "0"]
     if args.smoke:
         cmd.append("--smoke")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -86,7 +88,7 @@ def summary(runs):
 
 def write_bench(path, label, tree, args, runs, paired_with):
     doc = {"label": label, "source_sha256": source_digest(tree),
-           "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+           "workload": args.workload, "seed": SEED, "seconds": args.seconds,
            "smoke": args.smoke, "paired_with": paired_with,
            "runs": runs, "summary": summary(runs)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -109,7 +111,7 @@ def measure(args):
                   file=sys.stderr, flush=True)
     for label, tree in trees:
         other = [name for name, _ in trees if name != label]
-        write_bench(os.path.join(args.out, f"BENCH_{label}.json"), label, tree, args,
+        write_bench(f"BENCH_{label}.json", label, tree, args,
                     runs[label], other[0] if other else None)
     return 0 if all(run["exit_code"] == 0 for rs in runs.values() for run in rs) else 1
 
@@ -146,10 +148,8 @@ def main(argv=None):
                         choices=("table1_serial", "cv_tune", "cohort_cli"))
     parser.add_argument("--pairs", type=int, default=10, help="runs per tree")
     parser.add_argument("--seconds", type=int, default=20, help="measured seconds per run")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="perfbench's tiny shapes")
     parser.add_argument("--against", help="another checkout to alternate runs with")
-    parser.add_argument("--out", default=ROOT, help="directory for the BENCH files")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:

@@ -12,8 +12,8 @@ RUN_KEYS = {"pair", "order", "exit_code", "wall_s", "cpu_s", "env", "metrics", "
 def test_bench_writes_paired_files_that_compare(tmp_path):
     bench = [sys.executable, os.path.join(ROOT, "bench.py")]
     subprocess.run(bench + ["--label", "after", "--against", ROOT, "--workload", "cv_tune",
-                            "--pairs", "1", "--smoke", "--out", str(tmp_path)],
-                   check=True, timeout=300)
+                            "--pairs", "1", "--smoke"],
+                   cwd=tmp_path, check=True, timeout=300)
     docs = {}
     for label, other in (("after", "baseline"), ("baseline", "after")):
         docs[label] = doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
