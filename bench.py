@@ -5,6 +5,10 @@ BENCH_<label>.json; then compare two such files.
     python bench.py --label cv_path --workload cv_tune --pairs 10 --against ../parent
     python bench.py --compare BENCH_baseline.json BENCH_cv_path.json
 
+`--compare` prints, per end-to-end metric, whether B's gain over A meets
+the claim rule: B better in at least 9 of 10 pairs and the medians apart
+by more than A's interquartile range.
+
 Each run is `python perfbench/run.py --workload W --seed 1 --seconds T
 --trace 0` in the tree's own root, so each tree measures its own sources.
 With --against, each pair runs both trees, the first one first in even
@@ -117,8 +121,10 @@ def measure(args):
 
 
 def compare(path_a, path_b):
-    """Each end-to-end metric: medians, B/A, A's quartile spread, and in how
-    many runs paired by index B is better."""
+    """Each end-to-end metric: medians, B/A, A's quartile spread, in how
+    many runs paired by index B is better, and whether B's gain meets the
+    claim rule: B better in at least 9 of 10 pairs (ties count for
+    neither side) and the medians apart by more than A's quartile spread."""
     docs = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
@@ -136,8 +142,12 @@ def compare(path_a, path_b):
                  if name in ra["metrics"] and name in rb["metrics"]]
         wins = sum((vb > va) if higher else (vb < va) for va, vb in pairs)
         ratio = sb["median"] / sa["median"] if sa["median"] else float("nan")
+        iqr = sa["q3"] - sa["q1"]
+        gain = sb["median"] - sa["median"] if higher else sa["median"] - sb["median"]
+        met = 10 * wins >= 9 * len(pairs) and gain > iqr
         print(f"{name}: A {sa['median']:.4g} B {sb['median']:.4g} B/A {ratio:.3f} "
-              f"A IQR {sa['q3'] - sa['q1']:.3g} B better in {wins} of {len(pairs)} pairs")
+              f"A IQR {iqr:.3g} B better in {wins} of {len(pairs)} pairs, "
+              f"claim {'met' if met else 'not met'}")
     return 0
 
 

@@ -49,17 +49,16 @@ class SolverConfig:
     max_iter_stage: int = 2000
 
     def __post_init__(self):
-        # each test is written so that a NaN fails it
-        if not self.gamma_u > 1:
-            raise ConfigError("gamma_u must exceed 1")
-        if not (self.phi0 > 0 and self.eps1 > 0 and self.eps2 > 0):
-            raise ConfigError("phi0, eps1, eps2 must be positive")
+        # each test is written so that a NaN or an infinity fails it
+        if not 1 < self.gamma_u < math.inf:
+            raise ConfigError("gamma_u must be finite and exceed 1")
+        if not (self.phi0 > 0 and 0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
+            raise ConfigError("phi0, eps1, eps2 must be positive and finite")
         if not self.phi0 <= _MAX_PHI:
             raise ConfigError(f"phi0 must not exceed {_MAX_PHI:g}")
-        if not (isinstance(self.max_iter_stage, numbers.Integral)
-                and self.max_iter_stage >= 1):
-            raise ConfigError("max_iter_stage must be a positive integer, "
-                              f"got {self.max_iter_stage!r}")
+        cap = self.max_iter_stage
+        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ConfigError(f"max_iter_stage must be a positive integer, got {cap!r}")
 
 
 class TraceRecord(NamedTuple):
@@ -74,6 +73,8 @@ class TraceRecord(NamedTuple):
 
 
 class StageWork(NamedTuple):
+    stage: int                # one `_lamm_loop` run: its stage, how it ended, its work
+    exit: str                 # "converged", "saturated", "stalled" or "max_iter"
     loss_sweeps: int          # objective.nll calls, one per line-search trial
     vg_hits: int              # value_and_gradient calls the last sweep served
     vg_fresh: int             # value_and_gradient calls that swept afresh
@@ -84,10 +85,7 @@ class StageWork(NamedTuple):
 @dataclass
 class SolverTrace:
     records: list = field(default_factory=list)
-    # one entry per `_lamm_loop` run in stage order: why the stage stopped
-    # ("converged", "saturated", "stalled" or "max_iter"), and its StageWork
-    exits: list = field(default_factory=list)
-    work: list = field(default_factory=list)
+    work: list = field(default_factory=list)      # one StageWork per stage, in order
 
     def write_csv(self, path):
         with open(str(path), "w", encoding="utf-8") as fh:
@@ -103,7 +101,7 @@ class FitResult:
     iterations: tuple                 # accepted steps per stage: (k1, k2)
     trace: SolverTrace
     converged: tuple                  # (stage1, stage2); a warm fit runs no stage 1 to fail
-    # how the fit ended: the last entry of trace.exits that is not
+    # how the fit ended: the last stage exit in trace.work that is not
     # "converged", else "converged"; I-LAMM out of stages gives "max_iter"
     status: str
     seconds: float = 0.0
@@ -163,8 +161,8 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
                stage: int, trace: SolverTrace, phi_init=None,
                shift: PenaltySpec | None = None):
     """One LAMM stage on loss + sum_j w_j |b_j| from init: appends one
-    TraceRecord per accepted step, the reason it stopped to trace.exits and
-    its StageWork, read off the objective's counters, to trace.work, and
+    TraceRecord per accepted step and its StageWork (the reason it stopped
+    and its counts, read off the objective's counters) to the trace, and
     returns (beta, steps, converged, phi).
 
     Stage 1 (the l1 relaxation), stage 2 and every I-LAMM stage are this
@@ -209,8 +207,7 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     start = (objective.loss_sweeps, objective.vg_hits, objective.vg_fresh)
 
     def done(steps, why):
-        trace.exits.append(why)
-        trace.work.append(StageWork(objective.loss_sweeps - start[0],
+        trace.work.append(StageWork(stage, why, objective.loss_sweeps - start[0],
                                     objective.vg_hits - start[1],
                                     objective.vg_fresh - start[2],
                                     steps, time.perf_counter() - t0))
@@ -257,19 +254,20 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
     return done(config.max_iter_stage, "max_iter")
 
 
-def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False, warm=False):
+def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False):
     """FitResult read from the trace by one rule: steps are (stage-1
-    records, the rest); stage 1 converged when its exit did, the later
-    stages when all theirs did and I-LAMM did not run out of stages. A
-    warm trace holds no stage 1, so all its exits are later stages."""
+    records, the rest); stage 1 converged when its exit did (vacuously in
+    a warm fit, which runs none), the later stages when all theirs did and
+    I-LAMM did not run out of stages."""
     k1 = sum(r.stage == 1 for r in trace.records)
     status = "max_iter" if out_of_stages else next(
-        (why for why in reversed(trace.exits) if why != "converged"), "converged")
-    later = trace.exits if warm else trace.exits[1:]
-    later_ok = not out_of_stages and all(why == "converged" for why in later)
+        (w.exit for w in reversed(trace.work) if w.exit != "converged"), "converged")
+    first_ok = all(w.exit == "converged" for w in trace.work if w.stage == 1)
+    later_ok = not out_of_stages and all(w.exit == "converged"
+                                         for w in trace.work if w.stage > 1)
     return FitResult(beta=beta, stage1_beta=stage1_beta,
                      iterations=(k1, len(trace.records) - k1), trace=trace,
-                     converged=(warm or trace.exits[0] == "converged", later_ok),
+                     converged=(first_ok, later_ok),
                      status=status, seconds=time.perf_counter() - t0)
 
 
@@ -315,9 +313,8 @@ def tlamm(dataset: SurvivalDataset, spec: PenaltySpec,
         phi = records[-1].phi if records and start.status != "stalled" else None
     beta, _, _, trace2, _ = stage2(objective, spec, config, b1, phi)
     trace.records += trace2.records
-    trace.exits += trace2.exits
     trace.work += trace2.work
-    return _fit_result(beta, b1, trace, t0, warm=start is not None)
+    return _fit_result(beta, b1, trace, t0)
 
 
 def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
@@ -334,12 +331,12 @@ def ilamm(dataset: SurvivalDataset, spec: PenaltySpec,
     beta = b1
     for ell in range(2, _MAX_STAGES + 1):
         b_prev = beta
-        weights = np.asarray(derivative(spec, np.abs(b_prev)), dtype=np.float64)
+        weights = derivative(spec, np.abs(b_prev))
         beta, _, _, phi = _lamm_loop(objective, weights, b_prev, config=config,
                                      stage=ell, trace=trace, phi_init=phi)
         # a stage stalled at the float floor leaves phi so large that the
         # next stage's predicted decrease is below one ulp of the loss
         gap = np.linalg.norm(beta - b_prev)
-        if trace.exits[-1] in ("saturated", "stalled") or gap <= config.eps2:
+        if trace.work[-1].exit in ("saturated", "stalled") or gap <= config.eps2:
             return _fit_result(beta, b1, trace, t0)
     return _fit_result(beta, b1, trace, t0, out_of_stages=True)

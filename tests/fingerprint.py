@@ -78,7 +78,7 @@ def _fit_lines(shape):
                     line.update(
                         beta=_hex(fit.beta), stage1_beta=_hex(fit.stage1_beta),
                         iterations=list(fit.iterations), converged=list(fit.converged),
-                        status=fit.status, exits=list(fit.trace.exits),
+                        status=fit.status, exits=[w.exit for w in fit.trace.work],
                         trace=[[float.hex(v) if isinstance(v, float) else v for v in r]
                                for r in fit.trace.records])
                 yield line

@@ -33,3 +33,17 @@ def test_bench_writes_paired_files_that_compare(tmp_path):
     lines = out.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[1:]] == ["setup_s", "ops_per_s", "peak_rss_mb"]
     assert all("in 1 of 1 pairs" in line or "in 0 of 1 pairs" in line for line in lines[1:])
+
+
+def test_compare_states_the_claim_verdict():
+    # the committed cv_path files: ops_per_s won 10 of 10 pairs, 0.631 ->
+    # 1.189 against an A IQR of 0.084; setup_s won only 6 of 10
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "bench.py"), "--compare",
+                          os.path.join(ROOT, "BENCH_baseline.json"),
+                          os.path.join(ROOT, "BENCH_cv_path.json")],
+                         check=True, capture_output=True, text=True, timeout=60)
+    verdicts = {line.split(":")[0]: line.rsplit(", ", 1)[1]
+                for line in out.stdout.splitlines()[1:]}
+    assert verdicts["ops_per_s"] == "claim met"
+    assert verdicts["setup_s"] == "claim not met"
+    assert "10 of 10 pairs" in out.stdout and "6 of 10 pairs" in out.stdout

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from tlammcox import CoxObjective, DataError, SimulationConfig, cli, load_csv, omega
+from tlammcox import CoxObjective, DataError, SimulationConfig, cli, evaluation, load_csv, omega
 from tlammcox.cli import main
 from tlammcox.data import ConstantSignal
 from tlammcox.penalties import PenaltySpec, shift_gradient, value
@@ -70,6 +70,11 @@ def test_fit_outputs_with_truth_metrics(tmp_path, sim_out):
     assert len(beta_lines) == summary["support_size"] + 1
     trace_lines = (out / "trace.csv").read_text().strip().splitlines()
     assert trace_lines[0] == "stage,iter,F,omega,phi,step_norm,support"
+    # without a truth sidecar the same fit has no truth metrics
+    (sim_out / "dataset.truth.json").unlink()
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "bare")]) == 0
+    bare = read_json(tmp_path / "bare" / "summary.json")
+    assert sorted(bare) == sorted(set(summary) - {"l2_error", "selection"})
 
 
 def test_fit_summary_takes_one_eta_product(tmp_path, sim_out, monkeypatch):
@@ -174,18 +179,26 @@ def test_experiment_single_cell_and_determinism(tmp_path):
 
 
 def test_experiment_threads_flag_same_rows(tmp_path):
-    payload = {"grid": {"n": [60], "p": [8], "methods": ["oracle", "tlamm-mcp"],
-                        "reps": 2, "s": 3, "c_by_penalty": {"mcp": 0.7},
-                        "seed": 4}}
-    cfg = write_config(tmp_path, "expt.json", payload)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["experiment", "--config", cfg, "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["experiment", "--config", cfg, "--out", str(out2),
-                 "--threads", "2"]) == 0
+    # at p = 8 BLAS never threads; the Table-1 grid (n = 300, p = 2400, all
+    # six methods) is where a threaded BLAS could reorder a reduction
+    small = {"n": [60], "p": [8], "methods": ["oracle", "tlamm-mcp"], "reps": 2,
+             "s": 3, "c_by_penalty": {"mcp": 0.7}, "seed": 4}
+    table1 = {"n": [300], "p": [2400], "methods": list(evaluation.METHODS), "reps": 2,
+              "s": 10, "c_by_penalty": {"lasso": 0.45, "scad": 0.65, "mcp": 0.85},
+              "seed": 909}
     strip = lambda p: [",".join(r.split(",")[:-1])
                        for r in (p / "results.csv").read_text().strip().splitlines()]
-    assert strip(out1) == strip(out2)
+    for name, grid in (("small", small), ("table1", table1)):
+        cfg = write_config(tmp_path, f"{name}.json", {"grid": grid})
+        out1, out2 = tmp_path / f"{name}-t1", tmp_path / f"{name}-t2"
+        assert main(["experiment", "--config", cfg, "--out", str(out1),
+                     "--threads", "1"]) == 0
+        assert main(["experiment", "--config", cfg, "--out", str(out2),
+                     "--threads", "2"]) == 0
+        assert strip(out1) == strip(out2)
+        if grid is table1:
+            assert len(strip(out1)) == 1 + 2 * 6
+            assert (out1 / "table1.csv").read_bytes() == (out2 / "table1.csv").read_bytes()
 
 
 def test_experiment_partial_failure_exit_5(tmp_path):
@@ -225,7 +238,7 @@ def test_undefined_rate_is_null_in_json_and_nan_in_csv(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["spec"] == "nan"
 
 
-def test_diagnose_outputs(tmp_path, sim_out):
+def test_diagnose_outputs(tmp_path, sim_out, capsys):
     cfg = write_config(tmp_path, "diag.json", {
         "data": {"csv": str(sim_out / "dataset.csv")},
         "m": 2, "r": 0.3, "n_beta_samples": 2, "seed": 1})
@@ -235,11 +248,21 @@ def test_diagnose_outputs(tmp_path, sim_out):
     assert set(report) == {"m", "r", "rho_minus", "rho_plus", "probe_count",
                            "beta_samples"}
     assert report["rho_minus"] <= report["rho_plus"]
+    # with neither beta_star nor a truth sidecar there is no point to probe
+    (sim_out / "dataset.truth.json").unlink()
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "bare")]) == 2
+    assert "beta_star missing" in capsys.readouterr().err
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", dict(sim_config(), bogus=1))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    # a config path that does not exist, or whose text is not JSON
+    (tmp_path / "text.json").write_text("n = 60\n")
+    for path, cause in ((tmp_path / "absent.json", "cannot open config"),
+                        (tmp_path / "text.json", "is not valid JSON")):
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert cause in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -375,6 +398,16 @@ def test_exit_code_config_error(tmp_path):
     # the curvature cap is a constant, not a setting
     ("fit", {"data": {"simulate": sim_config()}, "solver": {"max_phi": 1},
              "penalty": {"kind": "scad", "c": 0.65}}, "unknown keys ['max_phi']"),
+    # an infinite gamma_u stops every line search; an infinite eps2
+    # passes any omega off as converged
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"gamma_u": math.inf},
+             "penalty": {"kind": "scad", "c": 0.65}}, "gamma_u must be finite"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"eps1": math.inf},
+             "penalty": {"kind": "scad", "c": 0.65}}, "must be positive and finite"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"eps2": math.inf},
+             "penalty": {"kind": "scad", "c": 0.65}}, "must be positive and finite"),
+    ("fit", {"data": {"simulate": sim_config()}, "algorithm": "newton",
+             "penalty": {"kind": "scad", "c": 0.65}}, "unknown algorithm 'newton'"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

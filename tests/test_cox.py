@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from tlammcox import cox
 from tlammcox import (CapabilityError, CoxObjective, DataError,
-                      IterationLimitError, NonFiniteError, SimulationConfig,
+                      IterationLimitError, NonFiniteError, RankError, SimulationConfig,
                       SurvivalDataset, fit_restricted, simulate_dataset)
 from tlammcox.data import ConstantSignal
 from conftest import central_differences, random_dataset, traced_peak
@@ -511,6 +511,69 @@ def test_fit_restricted_validates_support():
         fit_restricted(ds, [])
     with pytest.raises(ValueError):
         fit_restricted(ds, [5])
+
+
+def _newton_trials(monkeypatch, spoil):
+    """Patch CoxObjective.value_and_gradient so that `spoil(trial, value)`
+    rewrites each Newton trial's value (the first call, at zero, is kept);
+    returns the list the trial points are appended to."""
+    trials, real = [], CoxObjective.value_and_gradient
+
+    def patched(self, beta):
+        value, grad = real(self, beta)
+        if not np.any(beta):
+            return value, grad
+        trials.append(beta.copy())
+        return spoil(len(trials), value), grad
+
+    monkeypatch.setattr(CoxObjective, "value_and_gradient", patched)
+    return trials
+
+
+def test_fit_restricted_halves_a_failed_trial(monkeypatch):
+    # a first trial that is non-finite, or whose value rises, is retried
+    # at half the step; Newton starts at zero, so the retry is at exactly
+    # half the first trial, and the fit ends at the same minimizer
+    ds, _ = simulate_dataset(SimulationConfig(n=200, p=6, s=3, seed=5))
+    reference = fit_restricted(ds, [0, 1, 2])
+
+    def nonfinite(k, value):
+        if k == 1:
+            raise NonFiniteError("partial likelihood is non-finite")
+        return value
+
+    for spoil in (nonfinite, lambda k, value: value + 1.0 if k == 1 else value):
+        with monkeypatch.context() as m:
+            trials = _newton_trials(m, spoil)
+            beta = fit_restricted(ds, [0, 1, 2])
+        assert np.array_equal(trials[1], 0.5 * trials[0])
+        assert_allclose(beta, reference, atol=1e-8)
+
+
+def test_fit_restricted_raises_when_no_halving_decreases(monkeypatch):
+    ds, _ = simulate_dataset(SimulationConfig(n=200, p=6, s=3, seed=5))
+    trials = _newton_trials(monkeypatch, lambda k, value: value + 1.0)
+    with pytest.raises(IterationLimitError, match="no decrease after step halving") as exc:
+        fit_restricted(ds, [0, 1, 2])
+    assert len(trials) == cox._NEWTON_HALVINGS
+    assert np.array_equal(exc.value.last_beta, np.zeros(6))
+
+
+def test_fit_restricted_singular_hessian_raises_rank_error():
+    # an all-zero column gives the restricted Hessian an exactly zero row
+    ds = SurvivalDataset([1.0, 2.0, 3.0], [1, 1, 1],
+                         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(RankError, match="singular restricted hessian"):
+        fit_restricted(ds, [0, 1])
+
+
+def test_fit_restricted_widens_the_hessian_cap_to_its_support(monkeypatch):
+    # the oracle's Newton steps take a Hessian as wide as the support, so
+    # a support wider than the cap is fitted, not refused
+    ds, _ = simulate_dataset(SimulationConfig(n=200, p=8, s=3, seed=5))
+    reference = fit_restricted(ds, range(5))
+    monkeypatch.setattr(cox, "HESSIAN_P_CAP", 3)
+    assert np.array_equal(fit_restricted(ds, range(5)), reference)
 
 
 def test_no_events_raises():

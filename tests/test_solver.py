@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tlammcox import (ConfigError, CoxObjective, LineSearchError,
+from tlammcox import (ConfigError, CoxObjective, LineSearchError, NonFiniteError,
                       SimulationConfig, SolverConfig, fit_restricted, ilamm,
                       lasso, mcp, omega, scad, simulate_dataset, tlamm)
 from tlammcox import evaluation, solver
@@ -127,6 +127,16 @@ def test_line_search_quadratic_toy():
     assert phi == pytest.approx(1.6)
     assert gap >= 0.0
 
+    # a trial whose loss is non-finite counts as failed majorization: the
+    # candidates below 0.5 (phi <= 1.6) raise, so phi inflates to 3.2
+    def guarded(b):
+        if b[0] < 0.5:
+            raise NonFiniteError("partial likelihood is non-finite")
+        return 0.5 * float(b @ b)
+
+    _, phi, _, _, _ = line_search(guarded, beta, 0.5, beta.copy(), cfg.phi0, 0.0, cfg)
+    assert phi == pytest.approx(3.2)
+
 
 def test_line_search_first_trial_rule():
     cfg = SolverConfig()
@@ -176,10 +186,12 @@ def test_solver_config_validation():
     for name in ("phi0", "gamma_u", "eps1", "eps2", "max_iter_stage"):
         with pytest.raises(ConfigError):
             SolverConfig(**{name: float("nan")})
+        with pytest.raises(ConfigError):
+            SolverConfig(**{name: math.inf})
 
 
 def test_solver_config_rejects_a_fractional_step_cap():
-    for cap in (2.5, 2.0):
+    for cap in (2.5, 2.0, True):
         with pytest.raises(ConfigError, match="max_iter_stage"):
             SolverConfig(max_iter_stage=cap)
     assert SolverConfig(max_iter_stage=np.int64(3)).max_iter_stage == 3
@@ -274,7 +286,7 @@ def test_omega_bounded_by_step_norm():
     obj = CoxObjective(ds)
     cfg = SolverConfig(eps1=1e-3, eps2=1e-3)
     beta, steps, ok, trace, _ = stage1_lasso(obj, 0.1, cfg)
-    assert ok and steps >= 1 and trace.exits == ["converged"]
+    assert ok and steps >= 1 and [w.exit for w in trace.work] == ["converged"]
     for r in trace.records:
         assert r.omega <= (1 + cfg.gamma_u) * r.phi * r.step_norm + 1e-12
 
@@ -300,7 +312,7 @@ def test_float_floor_stall_is_flagged():
     ds, _ = simulate_dataset(SimulationConfig(n=60, p=6, s=3, seed=14))
     fit = ilamm(ds, mcp(0.3 * math.sqrt(math.log(6) / 60)),
                 SolverConfig(eps1=1e-8, eps2=1e-8, max_iter_stage=3000))
-    assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
+    assert fit.status == "stalled" and fit.trace.work[-1].exit == "stalled"
     assert not fit.converged[1] and fit.trace.records[-1].step_norm == 0.0
 
 
@@ -338,7 +350,7 @@ def test_ilamm_stage_at_float_floor_stops_stalled():
                              trace=trace, phi_init=phi)[0]
     fit = solver._fit_result(beta, b1, trace, 0.0)
     last = fit.trace.records[-1]
-    assert fit.status == "stalled" and fit.trace.exits[-1] == "stalled"
+    assert fit.status == "stalled" and fit.trace.work[-1].exit == "stalled"
     assert fit.converged == (True, False) and last.omega > 1e-8
     assert last.step_norm > 0.0
     assert 0.5 * last.phi * last.step_norm ** 2 < np.spacing(abs(last.objective))
@@ -360,7 +372,7 @@ def test_max_iter_flagged_not_raised():
                 SolverConfig(max_iter_stage=8))
     assert fit.converged == (False, True) and fit.iterations == (8, 7)
     assert fit.status == "max_iter"
-    assert fit.trace.exits == ["max_iter", "converged"]
+    assert [w.exit for w in fit.trace.work] == ["max_iter", "converged"]
 
 
 def test_ilamm_stage_cap_clears_convergence_flag(monkeypatch):
@@ -372,7 +384,7 @@ def test_ilamm_stage_cap_clears_convergence_flag(monkeypatch):
         m.setattr(solver, "_MAX_STAGES", 2)
         capped = ilamm(ds, spec, SolverConfig())
     assert capped.converged == (True, False) and capped.status == "max_iter"
-    assert capped.trace.exits == ["converged", "converged"]
+    assert [w.exit for w in capped.trace.work] == ["converged", "converged"]
     settled = ilamm(ds, spec, SolverConfig())
     assert settled.converged == (True, True) and settled.status == "converged"
 
@@ -389,7 +401,7 @@ def test_saturated_stage2_stops_at_first_saturated_record():
     fit = tlamm(ds, spec, SolverConfig())
     support = [r.support for r in fit.trace.records if r.stage == 2]
     assert fit.status == "saturated" and fit.converged[1] is False
-    assert fit.trace.exits == ["converged", "saturated"]
+    assert [w.exit for w in fit.trace.work] == ["converged", "saturated"]
     assert np.count_nonzero(fit.stage1_beta) < ds.n_events
     assert fit.iterations[1] == len(support) > 1
     assert support[-1] >= ds.n_events > max(support[:-1])
@@ -468,9 +480,9 @@ def test_warm_fit_reports_only_its_own_stage2():
     far = tlamm(ds, spec(1.2))
     fit = tlamm(ds, spec(0.3), SolverConfig(max_iter_stage=1), start=far)
     assert fit.status == "max_iter" and fit.converged[1] is False
-    assert fit.iterations == (0, 1) and fit.trace.exits == ["max_iter"]
+    assert fit.iterations == (0, 1) and [w.exit for w in fit.trace.work] == ["max_iter"]
     assert len(fit.trace.work) == 1 and [r.stage for r in fit.trace.records] == [2]
-    assert fit.stage1_beta is far.beta and len(far.trace.exits) == 2
+    assert fit.stage1_beta is far.beta and len(far.trace.work) == 2
 
 
 def test_warm_fit_from_a_converged_fit_at_its_lambda_takes_no_step():
@@ -643,14 +655,14 @@ def test_work_counts_pin_the_seed7_fits():
     spec = scad(0.65 * math.sqrt(math.log(2400) / 300))
     tasks = [(tlamm, ds, spec), (ilamm, ds, spec)]
     serial = [_fit_work(task) for task in tasks]
-    totals = [[sum(column) for column in zip(*work)] for work in serial]
     # (loss sweeps, value_and_gradient calls, accepted steps) per fit
-    assert [(s, hits + fresh, k) for s, hits, fresh, k, _ in totals] == [
-        (73, 38, 36), (141, 78, 69)]
+    assert [(sum(w.loss_sweeps for w in work), sum(w.vg_hits + w.vg_fresh for w in work),
+             sum(w.steps for w in work)) for work in serial] == [(73, 38, 36), (141, 78, 69)]
     # tlamm's stages take (6, 30) steps; only the burn-in's start sweeps
     # afresh, since every later stage starts on the array its predecessor
     # ended on, and every step's gradient reuses its accepted trial's sweep
     assert [w.steps for w in serial[0]] == [6, 30]
-    assert all(w.vg_fresh == (i == 0) and w.vg_hits == w.steps + (i > 0)
-               for work in serial for i, w in enumerate(work))
+    assert all(w.vg_fresh == (w.stage == 1) and w.vg_hits == w.steps + (w.stage > 1)
+               for work in serial for w in work)
+    assert all([w.stage for w in work] == list(range(1, len(work) + 1)) for work in serial)
     assert list(evaluation._pmap(_fit_work, tasks, 2)) == serial
