@@ -6,8 +6,8 @@ BENCH_<label>.json; then compare two such files.
     python bench.py --compare BENCH_baseline.json BENCH_cv_path.json
 
 `--compare` prints, per end-to-end metric, whether B's gain over A meets
-the claim rule: B better in at least 9 of 10 pairs and the medians apart
-by more than A's interquartile range.
+the claim rule: at least 10 pairs, B better in at least 9 of every 10,
+and the medians apart by more than A's interquartile range.
 
 Each run is `python perfbench/run.py --workload W --seed 1 --seconds T
 --trace 0` in the tree's own root, so each tree measures its own sources.
@@ -39,6 +39,7 @@ ROOT = os.path.dirname(os.path.abspath(__file__))
 END_TO_END = ("setup_s", "ops_per_s", "peak_rss_mb")
 BASELINE = "baseline"     # the label of the --against tree's runs
 SEED = 1                  # perfbench's seed in every run
+MIN_PAIRS = 10            # fewer pairs than this never meet the claim rule
 
 
 def source_digest(tree):
@@ -123,8 +124,9 @@ def measure(args):
 def compare(path_a, path_b):
     """Each end-to-end metric: medians, B/A, A's quartile spread, in how
     many runs paired by index B is better, and whether B's gain meets the
-    claim rule: B better in at least 9 of 10 pairs (ties count for
-    neither side) and the medians apart by more than A's quartile spread."""
+    claim rule: at least MIN_PAIRS pairs, B better in at least 9 of every
+    10 (ties count for neither side), and the medians apart by more than
+    A's quartile spread."""
     docs = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
@@ -144,7 +146,7 @@ def compare(path_a, path_b):
         ratio = sb["median"] / sa["median"] if sa["median"] else float("nan")
         iqr = sa["q3"] - sa["q1"]
         gain = sb["median"] - sa["median"] if higher else sa["median"] - sb["median"]
-        met = 10 * wins >= 9 * len(pairs) and gain > iqr
+        met = len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs) and gain > iqr
         print(f"{name}: A {sa['median']:.4g} B {sb['median']:.4g} B/A {ratio:.3f} "
               f"A IQR {iqr:.3g} B better in {wins} of {len(pairs)} pairs, "
               f"claim {'met' if met else 'not met'}")

@@ -189,9 +189,14 @@ def build_risk_cache(dataset: SurvivalDataset) -> RiskSetCache:
 
 # --------------------------------------------------------------- simulator
 
+def is_integer(value) -> bool:
+    """The one test of an integer setting: an Integral that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
     """The one seed rule of every seeded entry point: an integer in [0, 2**64)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    if not (is_integer(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
@@ -209,13 +214,13 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
+        if not all(is_integer(v) and v >= 1 for v in (self.n, self.p)):
             raise ConfigError("n and p must be positive")
         for key, value in (("s", min(10, self.p)), ("signal", ConstantSignal()),
                            ("censoring", (2.0, 3.0))):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-        if not (1 <= self.s <= self.p):
+        if not (is_integer(self.s) and 1 <= self.s <= self.p):
             raise ConfigError(f"support size s={self.s} must satisfy 1 <= s <= p={self.p}")
         if isinstance(self.signal, DecayingSignal) and len(self.signal.values) != self.s:
             raise ConfigError("decaying signal must supply exactly s values")

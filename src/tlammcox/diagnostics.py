@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import CoxObjective
-from .data import SurvivalDataset, check_seed
+from .data import SurvivalDataset, check_seed, is_integer
 from .errors import CapabilityError, ConfigError
 
 __all__ = ["LseReport", "lse_probe"]
 
 LSE_P_CAP = 20
-LSE_SUPPORT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     """Extreme eigenvalues of m-column Hessian submatrices over probed
     coefficient points within l1 distance r of beta_star.
 
-    Supports are enumerated exhaustively at size min(m, p); by eigenvalue
+    Supports are enumerated exhaustively at size m; by eigenvalue
     interlacing that already attains the extrema over all supports of size
     <= m. Probed points are beta_star plus n_beta_samples draws on the l1
     sphere of radius r.
@@ -56,11 +55,11 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     p = dataset.p
     if p > LSE_P_CAP:
         raise CapabilityError(f"lse_probe capped at p <= {LSE_P_CAP}, got {p}")
-    if not (1 <= m <= p):
+    if not (is_integer(m) and 1 <= m <= p):
         raise CapabilityError(f"m must lie in [1, p]; got m={m}, p={p}")
     if not (math.isfinite(r) and r >= 0):
         raise ConfigError(f"radius r must be non-negative and finite, got r={r}")
-    if n_beta_samples < 0:
+    if not (is_integer(n_beta_samples) and n_beta_samples >= 0):
         raise ConfigError(f"n_beta_samples must be non-negative, got {n_beta_samples}")
     check_seed(seed)
     beta_star = np.asarray(beta_star, dtype=np.float64)
@@ -69,11 +68,6 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
                           "for the data's p")
     if not np.isfinite(beta_star).all():
         raise ConfigError("beta_star has non-finite entries")
-    k = min(m, p)
-    n_supports = math.comb(p, k)
-    if n_supports > LSE_SUPPORT_CAP:
-        raise CapabilityError(
-            f"{n_supports} supports exceed the enumeration cap {LSE_SUPPORT_CAP}")
 
     rng = np.random.default_rng(seed)
     points = [beta_star]
@@ -87,7 +81,7 @@ def lse_probe(dataset: SurvivalDataset, beta_star, m: int, r: float,
     probes = 0
     for beta in points:
         hess = obj.hessian(beta)
-        for support in itertools.combinations(range(p), k):
+        for support in itertools.combinations(range(p), m):
             idx = np.asarray(support, dtype=np.intp)
             sub = hess[np.ix_(idx, idx)]
             eig = np.linalg.eigvalsh(sub)

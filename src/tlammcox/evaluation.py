@@ -23,7 +23,7 @@ import numpy as np
 
 from .cox import CoxObjective, fit_restricted
 from .data import (Independent, Signal, SimulationConfig, SurvivalDataset,
-                   check_seed, simulate_dataset, write_rows)
+                   check_seed, is_integer, simulate_dataset, write_rows)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
 from .penalties import PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
@@ -147,7 +147,7 @@ class CvResult:
     statuses: tuple            # per c, one FitResult.status per fold
     chosen_c: float            # least criterion among c whose folds all converged
     chosen_lambda: float
-    fold_seed: int = 0
+    fold_seed: int
     criterion = "held_out_partial_likelihood_deviance"
 
 
@@ -159,28 +159,27 @@ def _make_folds(n, n_folds, seed, status):
         fold_seed = (seed + attempt) % 2**64
         parts = np.array_split(np.random.default_rng(fold_seed).permutation(n), n_folds)
         if all(np.delete(status, part).any() for part in parts):
-            return [np.sort(part) for part in parts], fold_seed
+            return parts, fold_seed
     raise DataError(
         f"could not split into {n_folds} folds with events in every "
         "training part after 10 attempts")
 
 
-def _cv_fit_task(args):
+def _cv_fit_task(train, spec, config, start):
     """One fold fit, warm from `start` (the previous c's fit) when given."""
-    train, spec, config, start = args
     return tlamm(train, spec, config, start=start)
 
 
 def _cv_fold_path(args):
-    """One fold's c grid as a path: specs run from the largest c down, the
-    first fit cold and each next one warm from the fit before it. Returns
-    (beta, status) per spec, in the order given."""
+    """One fold's c grid as a path: given the specs in c order, fits them
+    from the largest c down, the first cold and each next one warm from the
+    fit before it. Returns (beta, status) per spec, in c order."""
     train, specs, config = args
     fit, out = None, []
-    for spec in specs:
-        fit = _cv_fit_task((train, spec, config, fit))
+    for spec in reversed(specs):
+        fit = _cv_fit_task(train, spec, config, fit)
         out.append((fit.beta, fit.status))
-    return out
+    return out[::-1]
 
 
 def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
@@ -202,24 +201,17 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
         raise ConfigError("c grid must be non-empty and positive")
     if len(set(c_grid)) < len(c_grid):
         raise ConfigError(f"c_grid must not repeat a value, got {c_grid}")
-    if folds < 2 or folds > dataset.n:
+    if not (is_integer(folds) and 2 <= folds <= dataset.n):
         raise ConfigError("folds must lie in [2, n]")
     check_seed(seed)
     parts, fold_seed = _make_folds(dataset.n, folds, seed, dataset.status)
     full_obj = CoxObjective(dataset)
-    trains, train_objs = [], []
-    for part in parts:
-        mask = np.ones(dataset.n, dtype=bool)
-        mask[part] = False
-        train = dataset.subset(np.flatnonzero(mask))
-        trains.append(train)
-        train_objs.append(CoxObjective(train))
+    trains = [dataset.subset(np.delete(np.arange(dataset.n), part)) for part in parts]
+    train_objs = [CoxObjective(train) for train in trains]
 
     specs = [PenaltySpec(penalty_kind, scaled_lambda(c, dataset.n, dataset.p), shape)
-             for c in reversed(c_grid)]
-    # per fold, (beta, status) from the largest c down; reversed to c order
-    paths = [path[::-1] for path in
-             _pmap(_cv_fold_path, [(train, specs, config) for train in trains], threads)]
+             for c in c_grid]
+    paths = list(_pmap(_cv_fold_path, [(train, specs, config) for train in trains], threads))
 
     criteria, statuses = [], []
     for i in range(len(c_grid)):
@@ -270,7 +262,7 @@ class ExperimentGrid:
             kind = method_penalty_kind(m)
             if kind is not None and kind not in self.c_by_penalty:
                 raise ConfigError(f"method {m!r} needs c_by_penalty[{kind!r}]")
-        if self.reps < 1:
+        if not (is_integer(self.reps) and self.reps >= 1):
             raise ConfigError("reps must be positive")
         check_seed(self.seed)
         # every cell's model and penalty levels are checked before any runs
@@ -293,7 +285,7 @@ class ExperimentGrid:
 class ExperimentResult:
     rows: list
     cell_medians: list
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 def method_penalty_kind(method: str):

@@ -117,6 +117,6 @@ def shift_gradient(spec: PenaltySpec, beta) -> np.ndarray:
 
 def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0), elementwise; t may be a vector."""
-    x = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, np.float64)
+    x = np.asarray(x, np.float64)
     out = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
     return out if out.ndim else float(out)

@@ -20,7 +20,6 @@ only when every stage converged.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cox import CoxObjective
-from .data import SurvivalDataset, write_rows
+from .data import SurvivalDataset, is_integer, write_rows
 from .errors import ConfigError, LineSearchError, NonFiniteError
 from .penalties import PenaltySpec, derivative, shift_gradient, shift_value, soft_threshold
 
@@ -57,7 +56,7 @@ class SolverConfig:
         if not self.phi0 <= _MAX_PHI:
             raise ConfigError(f"phi0 must not exceed {_MAX_PHI:g}")
         cap = self.max_iter_stage
-        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral) and cap >= 1):
+        if not (is_integer(cap) and cap >= 1):
             raise ConfigError(f"max_iter_stage must be a positive integer, got {cap!r}")
 
 
@@ -104,7 +103,7 @@ class FitResult:
     # how the fit ended: the last stage exit in trace.work that is not
     # "converged", else "converged"; I-LAMM out of stages gives "max_iter"
     status: str
-    seconds: float = 0.0
+    seconds: float
 
     @property
     def support(self) -> np.ndarray:
@@ -255,18 +254,18 @@ def _lamm_loop(objective: CoxObjective, weights, init, *, config: SolverConfig,
 
 
 def _fit_result(beta, stage1_beta, trace, t0, out_of_stages=False):
-    """FitResult read from the trace by one rule: steps are (stage-1
-    records, the rest); stage 1 converged when its exit did (vacuously in
-    a warm fit, which runs none), the later stages when all theirs did and
-    I-LAMM did not run out of stages."""
-    k1 = sum(r.stage == 1 for r in trace.records)
+    """FitResult read from the trace's stage records by one rule: steps
+    are (stage 1's, the rest's); stage 1 converged when its exit did
+    (vacuously in a warm fit, which runs none), the later stages when all
+    theirs did and I-LAMM did not run out of stages."""
+    k1 = sum(w.steps for w in trace.work if w.stage == 1)
     status = "max_iter" if out_of_stages else next(
         (w.exit for w in reversed(trace.work) if w.exit != "converged"), "converged")
     first_ok = all(w.exit == "converged" for w in trace.work if w.stage == 1)
     later_ok = not out_of_stages and all(w.exit == "converged"
                                          for w in trace.work if w.stage > 1)
     return FitResult(beta=beta, stage1_beta=stage1_beta,
-                     iterations=(k1, len(trace.records) - k1), trace=trace,
+                     iterations=(k1, sum(w.steps for w in trace.work) - k1), trace=trace,
                      converged=(first_ok, later_ok),
                      status=status, seconds=time.perf_counter() - t0)
 

@@ -194,10 +194,12 @@ def compare(path_a, path_b):
         for k in MEDIAN_KEYS:
             if k in ma and k in mb:
                 move = float.fromhex(mb[k]) - float.fromhex(ma[k])
+                if not move:
+                    continue
                 if k == "l2" and key[1] in L2_BANDS:
                     lo, hi = L2_BANDS[key[1]]
                     moves.append(f"l2 {move:+.3g} ({move / (hi - lo):+.2%} of its band)")
-                elif move:
+                else:
                     moves.append(f"{k} {move:+.3g}")
         out.append(f"table1 {key[1]}: " + (", ".join(moves) or "no median moved"))
     return out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -47,3 +48,25 @@ def test_compare_states_the_claim_verdict():
     assert verdicts["ops_per_s"] == "claim met"
     assert verdicts["setup_s"] == "claim not met"
     assert "10 of 10 pairs" in out.stdout and "6 of 10 pairs" in out.stdout
+
+
+def _bench_file(path, label, values):
+    runs = [{"metrics": {"ops_per_s": {"value": v, "unit": "1/s", "n": 1}}} for v in values]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    path.write_text(json.dumps({
+        "label": label, "source_sha256": label * 12, "workload": "cv_tune", "runs": runs,
+        "summary": {"ops_per_s": {"median": med, "q1": q1, "q3": q3, "runs": len(values)}}}))
+    return str(path)
+
+
+def test_compare_needs_ten_pairs_to_meet_the_claim(tmp_path):
+    # B is better in every pair and by far more than A's spread; only the
+    # number of pairs differs between the two comparisons
+    for pairs, verdict in ((3, "claim not met"), (10, "claim met")):
+        a = _bench_file(tmp_path / f"a{pairs}.json", "a", [1.0 + 0.01 * k for k in range(pairs)])
+        b = _bench_file(tmp_path / f"b{pairs}.json", "b", [2.0 + 0.01 * k for k in range(pairs)])
+        out = subprocess.run([sys.executable, os.path.join(ROOT, "bench.py"), "--compare", a, b],
+                             check=True, capture_output=True, text=True, timeout=60)
+        [line] = out.stdout.splitlines()[1:]
+        assert f"B better in {pairs} of {pairs} pairs" in line
+        assert line.endswith(f", {verdict}")

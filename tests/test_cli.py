@@ -408,6 +408,14 @@ def test_exit_code_config_error(tmp_path, capsys):
              "penalty": {"kind": "scad", "c": 0.65}}, "must be positive and finite"),
     ("fit", {"data": {"simulate": sim_config()}, "algorithm": "newton",
              "penalty": {"kind": "scad", "c": 0.65}}, "unknown algorithm 'newton'"),
+    # a config that is not an object, required keys left out, and a map
+    # given as a list
+    ("fit", [sim_config()], "config: expected an object"),
+    ("simulate", {k: v for k, v in sim_config().items() if k not in ("s", "seed")},
+     "config: missing keys ['s', 'seed']"),
+    ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
+                             "reps": 1, "c_by_penalty": [0.6]}},
+     "grid.c_by_penalty: invalid value [0.6]"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -430,6 +430,19 @@ def test_first_objective_allocates_no_design_sized_copy():
     assert traced_peak(lambda: CoxObjective(ds)) < 0.5e6
 
 
+@pytest.mark.parametrize("beta, match", [
+    (np.zeros(2), r"beta must have length 1, got shape \(2,\)"),
+    (np.zeros((1, 1)), r"beta must have length 1, got shape \(1, 1\)"),
+    (np.array([np.nan]), "beta contains non-finite entries"),
+    (np.array([-np.inf]), "beta contains non-finite entries"),
+])
+def test_objective_rejects_a_malformed_beta(two_point, beta, match):
+    obj = CoxObjective(two_point)
+    for call in (obj.nll, obj.gradient, obj.value_and_gradient):
+        with pytest.raises(ValueError, match=match):
+            call(beta)
+
+
 def test_nonfinite_error_reports_norm():
     # the max-eta offset lives on the small-time subject here, so the
     # late risk set underflows to an empty exponential sum

@@ -303,9 +303,13 @@ def test_csv_parse_errors_cite_row(tmp_path, row, match):
     assert match in str(exc.value) and exc.value.row == bad
 
 
-def test_csv_missing_file_and_header():
+def test_csv_missing_file_and_header(tmp_path):
     with pytest.raises(DataError):
         load_csv("/nonexistent/file.csv")
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(DataError, match="empty file"):
+        load_csv(path)
 
 
 def test_csv_header_must_match(tmp_path):
@@ -313,6 +317,23 @@ def test_csv_header_must_match(tmp_path):
     path.write_text("time,status,z1\n1.0,1,0.5\n")
     with pytest.raises(DataError):
         load_csv(path)
+    for header in ("t,status,x1", "time,event,x1", "time,status"):
+        path.write_text(f"{header}\n1.0,1,0.5\n")
+        with pytest.raises(DataError, match="header must be time,status,x1,...,xp"):
+            load_csv(path)
+
+
+@pytest.mark.parametrize("body", ["1.0,1,0.1,0.2,9\n2.0,0,0.3,0.4,9\n",
+                                  "1.0,1,0.1\n2.0,0,0.3\n"],
+                         ids=["one_field_too_many", "one_field_too_few"])
+def test_csv_rows_all_of_one_wrong_width_cite_row_1(tmp_path, body):
+    # numpy's reader takes a table of one consistent width; its width check
+    # hands it to the row loop, which names the first row
+    path = tmp_path / "wide.csv"
+    path.write_text("time,status,x1,x2\n" + body)
+    with pytest.raises(CsvParseError, match="row 1") as exc:
+        load_csv(path)
+    assert "fields" in str(exc.value) and exc.value.row == 1
 
 
 def test_censored_only_file_loads_but_fit_raises(tmp_path):
@@ -418,6 +439,10 @@ def test_dataset_validation():
         SurvivalDataset([1.0], [1, 1], np.zeros((2, 1)))
     with pytest.raises(DataError):
         SurvivalDataset([1.0, np.inf], [1, 1], np.zeros((2, 1)))
+    with pytest.raises(DataError, match="covariates must be a 2-d array"):
+        SurvivalDataset([1.0, 2.0], [1, 1], np.zeros(2))
+    with pytest.raises(DataError, match="empty dataset"):
+        SurvivalDataset([], [], np.zeros((0, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

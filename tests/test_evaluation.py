@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from tlammcox import (ConfigError, CoxObjective, DataError, Independent,
                       SimulationConfig, SolverConfig, SurvivalDataset,
                       UndefinedMetricError, concordance_index, cross_validate,
-                      l2_error, selection_metrics, simulate_dataset)
+                      l2_error, lse_probe, selection_metrics, simulate_dataset)
 from tlammcox import evaluation
 from tlammcox.data import Autoregressive, check_seed
 from tlammcox.errors import LineSearchError
@@ -183,10 +183,10 @@ def test_cross_validate_never_prefers_a_saturated_c(monkeypatch):
     fit_task = evaluation._cv_fit_task
     marked = []
 
-    def saturate_one_fold_of_best_c(args):
+    def saturate_one_fold_of_best_c(*args):
         # the marked fit is handed on as the next c's start unchanged but
         # for its status, so every beta and criterion stays as it was
-        fit = fit_task(args)
+        fit = fit_task(*args)
         if args[1].lam == plain.chosen_lambda and not marked:
             marked.append(args)
             fit = dataclasses.replace(fit, status="saturated")
@@ -287,6 +287,40 @@ def test_cross_validate_checks_seed_and_c_grid_before_any_fit(monkeypatch):
     with pytest.raises(ConfigError,
                        match=r"c_grid must not repeat a value, got \[0.5, 0.5, 1.0\]"):
         cross_validate(ds, "lasso", c_grid=[1.0, 0.5, 0.5])
+    for c_grid in ([], [0.5, 0.0], [-0.5]):
+        with pytest.raises(ConfigError, match="c grid must be non-empty and positive"):
+            cross_validate(ds, "lasso", c_grid=c_grid)
+    for folds in (1, 61):
+        with pytest.raises(ConfigError, match=r"folds must lie in \[2, n\]"):
+            cross_validate(ds, "lasso", folds=folds, c_grid=[0.5])
+
+
+_GRID = {"n_values": (40,), "p_values": (5,), "methods": ("lasso",), "reps": 1,
+         "c_by_penalty": {"lasso": 0.45}}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda ds: cross_validate(ds, "scad", folds=2.5, c_grid=[0.5]), "folds must lie in"),
+    (lambda ds: run_experiment(ExperimentGrid(**{**_GRID, "n_values": (40.5,)})),
+     "n and p must be positive"),
+    (lambda ds: ExperimentGrid(**{**_GRID, "p_values": (5.0,)}), "n and p must be positive"),
+    (lambda ds: ExperimentGrid(**{**_GRID, "reps": 1.5}), "reps must be positive"),
+    (lambda ds: ExperimentGrid(**{**_GRID, "reps": True}), "reps must be positive"),
+    (lambda ds: SimulationConfig(n=2.5, p=5), "n and p must be positive"),
+    (lambda ds: SimulationConfig(n=True, p=5), "n and p must be positive"),
+    (lambda ds: SimulationConfig(n=20, p=5, s=1.5), r"support size s=1.5 must satisfy"),
+    (lambda ds: lse_probe(ds, np.zeros(5), m=2.0, r=0.1), r"m must lie in \[1, p\]"),
+    (lambda ds: lse_probe(ds, np.zeros(5), m=2, r=0.1, n_beta_samples=1.5),
+     "n_beta_samples must be non-negative"),
+    (lambda ds: check_seed(True), "seed must be an unsigned 64-bit integer"),
+], ids=["folds-fraction", "grid-n-fraction", "grid-p-float", "reps-fraction",
+        "reps-bool", "n-fraction", "n-bool", "s-fraction", "m-float", "samples-fraction",
+        "seed-bool"])
+def test_integer_settings_refuse_fractions_and_booleans(call, match):
+    # an int() cast would truncate 2.5 to 2, and a bool passes as 0 or 1
+    ds, _ = simulate_dataset(SimulationConfig(n=40, p=5, s=2, seed=1))
+    with pytest.raises(ConfigError, match=match):
+        call(ds)
 
 
 def test_cross_validate_eventless_fold_error():
@@ -327,6 +361,9 @@ def test_grid_validation():
         with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
             ExperimentGrid(n_values=(30,), p_values=(10,), methods=("lasso",),
                            reps=1, seed=seed, c_by_penalty={"lasso": 0.45})
+    with pytest.raises(ConfigError, match="reps must be positive"):
+        ExperimentGrid(n_values=(30,), p_values=(10,), methods=("lasso",),
+                       reps=0, c_by_penalty={"lasso": 0.45})
 
 
 def test_grid_rejects_repeated_values():

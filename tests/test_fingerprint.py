@@ -17,6 +17,11 @@ def test_fingerprint_repeats_and_ignores_the_thread_count(tmp_path, capsys):
     same, moved = tmp_path / "a.txt", tmp_path / "b.txt"
     fingerprint.main([str(same), "--small"])
     assert same.read_text().splitlines() == first
+    capsys.readouterr()
+    fingerprint.main(["--compare", str(same), str(same)])
+    table1 = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("table1 ")]
+    assert len(table1) == 6 and all(line.endswith(": no median moved") for line in table1)
     fit = lines[0]
     fit["beta"][0] = float.hex(float.fromhex(fit["beta"][0]) + 2.0 ** -40)
     moved.write_text("\n".join([json.dumps(fit), *first[1:]]) + "\n")

@@ -207,6 +207,8 @@ def test_stage1_kkt_at_zero():
     beta, steps, ok, trace, _ = stage1_lasso(obj, lam, SolverConfig())
     assert_allclose(beta, 0.0)
     assert steps <= 1 and ok
+    with pytest.raises(ConfigError, match="lambda must be positive"):
+        stage1_lasso(obj, 0.0, SolverConfig())
 
 
 def test_stage1_sanity_and_descent():
