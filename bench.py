@@ -5,12 +5,17 @@ BENCH_<label>.json; then compare two such files.
     python bench.py --label cv_path --workload cv_tune --pairs 10 --against ../parent
     python bench.py --compare BENCH_baseline.json BENCH_cv_path.json
 
-`--compare` prints, per end-to-end metric, whether B's gain over A meets
-the claim rule: at least 10 pairs, B better in at least 9 of every 10,
-and the medians apart by more than A's interquartile range.
+`--compare` prints, per end-to-end metric, whether B's median is within
+the metric's bound of A's (the verdict a change that claims no gain
+needs), and whether B's gain over A meets the claim rule: at least 10
+pairs, B better in at least 9 of every 10, and the medians apart by more
+than A's interquartile range. It refuses two files whose workload, smoke
+flag or run seconds differ.
 
-Each run is `python perfbench/run.py --workload W --seed 1 --seconds T
---trace 0` in the tree's own root, so each tree measures its own sources.
+The workloads, the run length T and each end-to-end metric's direction
+and bound are read from BENCHMARK.json. Each run is `python
+perfbench/run.py --workload W --seed 1 --seconds T --trace 0` in the
+tree's own root, so each tree measures its own sources.
 With --against, each pair runs both trees, the first one first in even
 pairs and the other first in odd pairs, so slow drift on the machine
 falls on both alike; the other tree's runs go to BENCH_baseline.json.
@@ -36,7 +41,8 @@ import sys
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
-END_TO_END = ("setup_s", "ops_per_s", "peak_rss_mb")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
 BASELINE = "baseline"     # the label of the --against tree's runs
 SEED = 1                  # perfbench's seed in every run
 MIN_PAIRS = 10            # fewer pairs than this never meet the claim rule
@@ -53,7 +59,7 @@ def source_digest(tree):
 def run_once(tree, args):
     """One perfbench run in `tree`: its parsed output and costs."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
-           "--seed", str(SEED), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     if args.smoke:
         cmd.append("--smoke")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -93,7 +99,7 @@ def summary(runs):
 
 def write_bench(path, label, tree, args, runs, paired_with):
     doc = {"label": label, "source_sha256": source_digest(tree),
-           "workload": args.workload, "seed": SEED, "seconds": args.seconds,
+           "workload": args.workload, "seed": SEED, "seconds": BENCHMARK["run_seconds"],
            "smoke": args.smoke, "paired_with": paired_with,
            "runs": runs, "summary": summary(runs)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -123,22 +129,28 @@ def measure(args):
 
 def compare(path_a, path_b):
     """Each end-to-end metric: medians, B/A, A's quartile spread, in how
-    many runs paired by index B is better, and whether B's gain meets the
-    claim rule: at least MIN_PAIRS pairs, B better in at least 9 of every
-    10 (ties count for neither side), and the medians apart by more than
-    A's quartile spread."""
+    many runs paired by index B is better, whether B's median is worse
+    than A's by no more than the metric's bound, and whether B's gain
+    meets the claim rule: at least MIN_PAIRS pairs, B better in at least 9
+    of every 10 (ties count for neither side), and the medians apart by
+    more than A's quartile spread."""
     docs = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
             docs.append(json.load(fh))
     a, b = docs
+    differ = [key for key in ("workload", "smoke", "seconds") if a[key] != b[key]]
+    if differ:
+        print(f"cannot compare: the files differ in {', '.join(differ)}", file=sys.stderr)
+        return 1
     print(f"A {a['label']} ({a['source_sha256'][:12]})  B {b['label']} "
           f"({b['source_sha256'][:12]})  workload {a['workload']}")
-    for name in END_TO_END:
+    for metric in BENCHMARK["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
         if name not in a["summary"] or name not in b["summary"]:
             continue
         sa, sb = a["summary"][name], b["summary"][name]
-        higher = name == "ops_per_s"
+        higher = metric["better"] == "higher"
         pairs = [(ra["metrics"][name]["value"], rb["metrics"][name]["value"])
                  for ra, rb in zip(a["runs"], b["runs"])
                  if name in ra["metrics"] and name in rb["metrics"]]
@@ -147,8 +159,10 @@ def compare(path_a, path_b):
         iqr = sa["q3"] - sa["q1"]
         gain = sb["median"] - sa["median"] if higher else sa["median"] - sb["median"]
         met = len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs) and gain > iqr
+        within = gain >= -bound * abs(sa["median"])
         print(f"{name}: A {sa['median']:.4g} B {sb['median']:.4g} B/A {ratio:.3f} "
               f"A IQR {iqr:.3g} B better in {wins} of {len(pairs)} pairs, "
+              f"{'within' if within else 'outside'} the {bound:g} bound, "
               f"claim {'met' if met else 'not met'}")
     return 0
 
@@ -157,9 +171,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", help="names the file BENCH_<label>.json")
     parser.add_argument("--workload", default="cv_tune",
-                        choices=("table1_serial", "cv_tune", "cohort_cli"))
+                        choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", type=int, default=10, help="runs per tree")
-    parser.add_argument("--seconds", type=int, default=20, help="measured seconds per run")
     parser.add_argument("--smoke", action="store_true", help="perfbench's tiny shapes")
     parser.add_argument("--against", help="another checkout to alternate runs with")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))

@@ -69,16 +69,18 @@ def _later(value):
 
 
 def _int(value):
-    """int(value), rejecting booleans and fractional numbers, which int()
-    would accept or truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), rejecting booleans, strings and fractional numbers,
+    which int() would accept, parse or truncate."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError("expected an integer")
     return int(value)
 
 
 def _float(value):
-    """float(value), rejecting booleans, which float() would take as 0 or 1."""
-    if isinstance(value, bool):
+    """float(value), rejecting booleans and strings, which float() would
+    take as 0 or 1 or parse."""
+    if isinstance(value, (bool, str)):
         raise ValueError("expected a number")
     return float(value)
 
@@ -369,6 +371,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _read_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         t0 = time.perf_counter()

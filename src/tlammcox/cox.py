@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .data import SurvivalDataset, build_risk_cache
+from .data import SurvivalDataset, build_risk_cache, check_support
 from .errors import (CapabilityError, DataError, IterationLimitError,
                      NonFiniteError, RankError)
 
@@ -37,17 +37,14 @@ class CoxObjective:
     likelihood at arbitrary coefficient vectors.
 
     The instance is read-only over the dataset, owns its risk sets and
-    reuses earlier work:
-
-    - the last sweep (eta, its offset, exp weights, risk sums, value and
-      gradient) serves a later call made with the same array object whose
-      bytes have not changed since, so a gradient at a point whose value
-      was just taken costs no second product X @ beta;
-    - the last gathered column block X[:, S] serves the next gather over
-      the same support S.
+    reuses its last sweep (eta, its offset, exp weights, risk sums, value
+    and gradient) for a later call made with the same array object whose
+    bytes have not changed since, so a gradient at a point whose value was
+    just taken costs no second product X @ beta. A gathered block X[:, S]
+    lives only for its product.
 
     A sweep that raises caches nothing, and a returned gradient is a copy.
-    Each cache entry is one tuple that is replaced whole, and evaluations
+    The cache entry is one tuple that is replaced whole, and evaluations
     otherwise use call-local scratch, so concurrent calls on one instance
     are safe: a race can only cost a recomputation, or a count in the
     work counters, which are plain unlocked adds.
@@ -63,7 +60,6 @@ class CoxObjective:
         self._d = self.cache.tie_counts.astype(np.float64)   # tie counts as floats
         self._risk_last = self.cache.risk_sizes - 1          # each group's prefix end
         self._last_sweep = None    # (beta, its bytes, eta, offset, w, s0, value, grad)
-        self._last_gather = None   # (support bytes, X[:, support])
         # work counts, read per stage by the solver: nll calls, and the
         # value_and_gradient calls the last sweep served or that swept afresh
         self.loss_sweeps = self.vg_hits = self.vg_fresh = 0
@@ -93,18 +89,8 @@ class CoxObjective:
         if self.p >= _GATHER_MIN_P:
             support = (beta != 0.0).nonzero()[0]
             if support.size * _GATHER_RATIO <= self.p:
-                return self._columns(support) @ beta[support]
+                return self.dataset.covariates[:, support] @ beta[support]
         return self.dataset.covariates @ beta
-
-    def _columns(self, support):
-        """X[:, support], reused when the last gather had the same support."""
-        key = support.tobytes()
-        last = self._last_gather
-        if last is not None and last[0] == key:
-            return last[1]
-        block = self.dataset.covariates[:, support]
-        self._last_gather = (key, block)
-        return block
 
     def _risk_weights(self, eta, offset, w, s0):
         """w_q c_q in descending-time order, with c_q the sum of d_g / S0_g
@@ -209,11 +195,9 @@ def fit_restricted(dataset: SurvivalDataset, support) -> np.ndarray:
     iterate) if _NEWTON_MAX_ITER steps are exhausted, which happens e.g.
     under monotone likelihood where no finite minimizer exists.
     """
-    support = np.asarray(sorted(set(int(j) for j in support)), dtype=np.intp)
+    support = np.unique(check_support(support, dataset.p))
     if support.size == 0:
         raise ValueError("support must contain at least one index")
-    if support.min() < 0 or support.max() >= dataset.p:
-        raise ValueError("support indices out of range")
     sub = SurvivalDataset(dataset.times, dataset.status,
                           dataset.covariates[:, support])
     obj = CoxObjective(sub)

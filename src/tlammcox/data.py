@@ -200,6 +200,16 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
+def check_support(support, p) -> np.ndarray:
+    """The column indices in support as an intp array; each must be an
+    integer in [0, p), which rules out bools and the floats numpy would
+    truncate."""
+    support = list(support)
+    if not all(is_integer(j) and 0 <= j < p for j in support):
+        raise ValueError(f"support indices out of range: each must be an integer in [0, {p})")
+    return np.asarray(support, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """A model field left None takes the benchmark protocol's value: s =

@@ -23,7 +23,8 @@ import numpy as np
 
 from .cox import CoxObjective, fit_restricted
 from .data import (Independent, Signal, SimulationConfig, SurvivalDataset,
-                   check_seed, is_integer, simulate_dataset, write_rows)
+                   check_seed, check_support, is_integer, simulate_dataset,
+                   write_rows)
 from .errors import ConfigError, DataError, SolverError, UndefinedMetricError
 from .penalties import PenaltySpec
 from .solver import FitResult, SolverConfig, ilamm, tlamm
@@ -74,7 +75,7 @@ def selection_metrics(beta_hat, true_support) -> SelectionMetrics:
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     p = beta_hat.size
     truth = np.zeros(p, dtype=bool)
-    truth[np.asarray(list(true_support), dtype=np.intp)] = True
+    truth[check_support(true_support, p)] = True
     selected = np.abs(beta_hat) > 0.0
     tp = int(np.sum(selected & truth))
     fp = int(np.sum(selected & ~truth))
@@ -204,6 +205,7 @@ def cross_validate(dataset: SurvivalDataset, penalty_kind: str,
     if not (is_integer(folds) and 2 <= folds <= dataset.n):
         raise ConfigError("folds must lie in [2, n]")
     check_seed(seed)
+    _check_threads(threads)
     parts, fold_seed = _make_folds(dataset.n, folds, seed, dataset.status)
     full_obj = CoxObjective(dataset)
     trains = [dataset.subset(np.delete(np.arange(dataset.n), part)) for part in parts]
@@ -335,6 +337,11 @@ def _run_rep(args):
     return rows
 
 
+def _check_threads(threads):
+    if not (is_integer(threads) and threads >= 1):
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+
+
 def _pmap(fn, tasks, threads):
     """fn over tasks, results yielded in task order as they are ready; a
     process pool of min(threads, len(tasks)) workers when both exceed 1."""
@@ -360,6 +367,7 @@ def run_experiment(grid: ExperimentGrid,
     skipped in medians; each cell counts in `reps_nonconverged` the fits in
     its medians whose status is not "converged".
     """
+    _check_threads(threads)
     tasks = [(grid, config, di, design, int(n), int(p), rep)
              for (di, design), n, p, rep in itertools.product(
                  enumerate(grid.designs), grid.n_values, grid.p_values,

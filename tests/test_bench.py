@@ -6,7 +6,11 @@ import statistics
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    RUN_SECONDS = json.load(_fh)["run_seconds"]
 RUN_KEYS = {"pair", "order", "exit_code", "wall_s", "cpu_s", "env", "metrics", "failed", "result"}
 
 
@@ -20,6 +24,7 @@ def test_bench_writes_paired_files_that_compare(tmp_path):
         docs[label] = doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
         assert doc["label"] == label and doc["paired_with"] == other
         assert doc["workload"] == "cv_tune" and doc["smoke"] is True
+        assert doc["seconds"] == RUN_SECONDS
         [run] = doc["runs"]
         assert set(run) == RUN_KEYS and run["exit_code"] == 0 and not run["failed"]
         assert run["env"]["nproc"] >= 1 and run["result"]["correct"] is True
@@ -34,6 +39,7 @@ def test_bench_writes_paired_files_that_compare(tmp_path):
     lines = out.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[1:]] == ["setup_s", "ops_per_s", "peak_rss_mb"]
     assert all("in 1 of 1 pairs" in line or "in 0 of 1 pairs" in line for line in lines[1:])
+    assert all(" bound, claim " in line for line in lines[1:])
 
 
 def test_compare_states_the_claim_verdict():
@@ -50,12 +56,14 @@ def test_compare_states_the_claim_verdict():
     assert "10 of 10 pairs" in out.stdout and "6 of 10 pairs" in out.stdout
 
 
-def _bench_file(path, label, values):
+def _bench_file(path, label, values, **keys):
     runs = [{"metrics": {"ops_per_s": {"value": v, "unit": "1/s", "n": 1}}} for v in values]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     path.write_text(json.dumps({
-        "label": label, "source_sha256": label * 12, "workload": "cv_tune", "runs": runs,
-        "summary": {"ops_per_s": {"median": med, "q1": q1, "q3": q3, "runs": len(values)}}}))
+        "label": label, "source_sha256": label * 12, "workload": "cv_tune",
+        "smoke": False, "seconds": RUN_SECONDS, "runs": runs,
+        "summary": {"ops_per_s": {"median": med, "q1": q1, "q3": q3, "runs": len(values)}},
+        **keys}))
     return str(path)
 
 
@@ -70,3 +78,26 @@ def test_compare_needs_ten_pairs_to_meet_the_claim(tmp_path):
         [line] = out.stdout.splitlines()[1:]
         assert f"B better in {pairs} of {pairs} pairs" in line
         assert line.endswith(f", {verdict}")
+
+
+@pytest.mark.parametrize("key, value", [("workload", "table1_serial"), ("smoke", True),
+                                        ("seconds", 20)])
+def test_compare_refuses_files_of_different_runs(tmp_path, key, value):
+    a = _bench_file(tmp_path / "a.json", "a", [1.0, 1.1])
+    b = _bench_file(tmp_path / "b.json", "b", [1.0, 1.1], **{key: value})
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "bench.py"), "--compare", a, b],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode != 0 and not out.stdout
+    assert f"the files differ in {key}" in out.stderr
+
+
+def test_compare_states_the_bound_verdict(tmp_path):
+    # ops_per_s is higher-better with a 0.25 bound: a median of 0.8 against
+    # 1.0 is within it, 0.7 is not
+    a = _bench_file(tmp_path / "a.json", "a", [0.99, 1.0, 1.01])
+    for median, verdict in ((0.8, "within"), (0.7, "outside")):
+        b = _bench_file(tmp_path / f"b{median}.json", "b", [median - 0.01, median, median + 0.01])
+        out = subprocess.run([sys.executable, os.path.join(ROOT, "bench.py"), "--compare", a, b],
+                             check=True, capture_output=True, text=True, timeout=60)
+        [line] = out.stdout.splitlines()[1:]
+        assert f", {verdict} the 0.25 bound, claim not met" in line

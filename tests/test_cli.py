@@ -416,6 +416,13 @@ def test_exit_code_config_error(tmp_path, capsys):
     ("experiment", {"grid": {"n": [30], "p": [10], "methods": ["tlamm-scad"],
                              "reps": 1, "c_by_penalty": [0.6]}},
      "grid.c_by_penalty: invalid value [0.6]"),
+    # a JSON string is not a number, though int() and float() would parse it
+    ("simulate", dict(sim_config(), n="60"), "config.n: invalid value '60'"),
+    ("simulate", dict(sim_config(), seed="1"), "config.seed: invalid value '1'"),
+    ("fit", {"data": {"simulate": sim_config()}, "penalty": {"kind": "scad", "c": "0.65"}},
+     "penalty.c: invalid value '0.65'"),
+    ("fit", {"data": {"simulate": sim_config()}, "solver": {"eps2": "1e-3"},
+             "penalty": {"kind": "scad", "c": 0.65}}, "solver.eps2: invalid value '1e-3'"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -687,3 +694,14 @@ def test_optional_keys_absent_null_or_spelled_out_give_same_outputs(tmp_path, co
         assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
         got[mode] = [_without_wall_clock(out / name) for name in outputs]
     assert got["omit"] == got["null"] == got["explicit"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "cv", "experiment", "diagnose"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
+    # each config runs to exit 0 with --threads 1
+    cfg = write_config(tmp_path, "cfg.json", _defaults_config(command, "omit"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert f"config error: --threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()

@@ -526,6 +526,15 @@ def test_fit_restricted_validates_support():
         fit_restricted(ds, [5])
 
 
+@pytest.mark.parametrize("support", [[0.7, 1.2, 2.9], [True, 2], np.array([0.0, 1.0])],
+                         ids=["fractions", "bool", "float-array"])
+def test_fit_restricted_refuses_indices_that_are_not_integers(support):
+    # an int() cast would fit {0, 1, 2}, {1, 2} and {0, 1}
+    ds = random_dataset(np.random.default_rng(12), 15, 3)
+    with pytest.raises(ValueError, match=r"support indices out of range: .* in \[0, 3\)"):
+        fit_restricted(ds, support)
+
+
 def _newton_trials(monkeypatch, spoil):
     """Patch CoxObjective.value_and_gradient so that `spoil(trial, value)`
     rewrites each Newton trial's value (the first call, at zero, is kept);

@@ -40,6 +40,18 @@ def test_selection_metrics_examples():
     assert (m.tp, m.fp, m.sensitivity, m.specificity) == (3, 0, 1.0, 1.0)
     m = selection_metrics(np.zeros(10), star_support)
     assert (m.tp, m.sensitivity, m.specificity) == (0, 0.0, 1.0)
+    # an empty true support, which numpy alone would read as float64
+    m = selection_metrics(beta, [])
+    assert (m.tp, m.fp, m.fn, m.tn) == (0, 3, 0, 7) and math.isnan(m.sensitivity)
+
+
+@pytest.mark.parametrize("support", [[-1], [0.5, 1.5], [10], [True], np.array([1.0])],
+                         ids=["negative", "fractions", "past-p", "bool", "float-array"])
+def test_selection_metrics_refuses_a_support_outside_the_columns(support):
+    # at p = 10, -1 would count column 9, 0.5 and 1.5 would truncate to 0
+    # and 1, and True would count column 1
+    with pytest.raises(ValueError, match=r"support indices out of range: .* in \[0, 10\)"):
+        selection_metrics(np.ones(10), support)
 
 
 def test_selection_metrics_identities():
@@ -321,6 +333,27 @@ def test_integer_settings_refuse_fractions_and_booleans(call, match):
     ds, _ = simulate_dataset(SimulationConfig(n=40, p=5, s=2, seed=1))
     with pytest.raises(ConfigError, match=match):
         call(ds)
+
+
+@pytest.mark.parametrize("threads", [2.5, True, 0, -1, "2"])
+@pytest.mark.parametrize("entry", ["cross_validate", "run_experiment"])
+def test_threads_must_be_a_positive_integer_before_any_fit(monkeypatch, tmp_path, entry,
+                                                            threads):
+    # 2.5 would reach the process pool as a float at three folds or reps,
+    # and True, 0 and -1 would run serially
+    def no_fit(*args):
+        raise AssertionError("fitted")
+
+    monkeypatch.setattr(evaluation, "tlamm", no_fit)
+    ds, _ = simulate_dataset(SimulationConfig(n=40, p=5, s=2, seed=1))
+    out_csv = tmp_path / "results.csv"
+    with pytest.raises(ConfigError, match="threads must be a positive integer"):
+        if entry == "cross_validate":
+            cross_validate(ds, "lasso", folds=3, c_grid=[0.5], threads=threads)
+        else:
+            run_experiment(ExperimentGrid(**{**_GRID, "reps": 3}), threads=threads,
+                           out_csv=out_csv)
+    assert not out_csv.exists()
 
 
 def test_cross_validate_eventless_fold_error():
