@@ -13,9 +13,13 @@ than A's interquartile range. It refuses two files whose workload, smoke
 flag or run seconds differ.
 
 The workloads, the run length T and each end-to-end metric's direction
-and bound are read from BENCHMARK.json. Each run is `python
-perfbench/run.py --workload W --seed 1 --seconds T --trace 0` in the
-tree's own root, so each tree measures its own sources.
+and bound are read from BENCHMARK.json. Before the first run, each tree's
+BENCHMARK.json, src/ and perfbench/ (less perfbench/out/ and __pycache__)
+are copied into a new temporary directory of their own, made the same way
+for each tree; each run is `python perfbench/run.py --workload W --seed 1
+--seconds T --trace 0` in that copy, so each tree measures its own sources
+and neither runs from where it happens to sit. The copies are removed
+afterwards, and a BENCH file names the tree it was copied from.
 With --against, each pair runs both trees, the first one first in even
 pairs and the other first in odd pairs, so slow drift on the machine
 falls on both alike; the other tree's runs go to BENCH_baseline.json.
@@ -35,9 +39,11 @@ import hashlib
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
@@ -54,6 +60,16 @@ def source_digest(tree):
         with open(path, "rb") as fh:
             digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
     return digest.hexdigest()
+
+
+def copy_tree(tree):
+    """A new temporary directory holding what a run reads from `tree`."""
+    copy = tempfile.mkdtemp(prefix="bench-")
+    shutil.copy2(os.path.join(tree, "BENCHMARK.json"), copy)
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(tree, name), os.path.join(copy, name), ignore=skip)
+    return copy
 
 
 def run_once(tree, args):
@@ -97,8 +113,8 @@ def summary(runs):
     return out
 
 
-def write_bench(path, label, tree, args, runs, paired_with):
-    doc = {"label": label, "source_sha256": source_digest(tree),
+def write_bench(path, label, tree, digest, args, runs, paired_with):
+    doc = {"label": label, "tree": tree, "source_sha256": digest,
            "workload": args.workload, "seed": SEED, "seconds": BENCHMARK["run_seconds"],
            "smoke": args.smoke, "paired_with": paired_with,
            "runs": runs, "summary": summary(runs)}
@@ -112,17 +128,25 @@ def measure(args):
     if args.against:
         trees.append((BASELINE, os.path.abspath(args.against)))
     runs = {label: [] for label, _ in trees}
-    for pair in range(args.pairs):
-        for order, (label, tree) in enumerate(trees[::-1] if pair % 2 else trees):
-            run = run_once(tree, args)
-            run["pair"], run["order"] = pair, order
-            runs[label].append(run)
-            ops = run["metrics"].get("ops_per_s", {}).get("value")
-            print(f"pair {pair} {label}: ops_per_s {ops} exit {run['exit_code']}",
-                  file=sys.stderr, flush=True)
+    copies, digests = {}, {}
+    try:
+        for label, tree in trees:
+            copies[label] = copy_tree(tree)
+            digests[label] = source_digest(copies[label])
+        for pair in range(args.pairs):
+            for order, (label, _) in enumerate(trees[::-1] if pair % 2 else trees):
+                run = run_once(copies[label], args)
+                run["pair"], run["order"] = pair, order
+                runs[label].append(run)
+                ops = run["metrics"].get("ops_per_s", {}).get("value")
+                print(f"pair {pair} {label}: ops_per_s {ops} exit {run['exit_code']}",
+                      file=sys.stderr, flush=True)
+    finally:
+        for copy in copies.values():
+            shutil.rmtree(copy, ignore_errors=True)
     for label, tree in trees:
         other = [name for name, _ in trees if name != label]
-        write_bench(f"BENCH_{label}.json", label, tree, args,
+        write_bench(f"BENCH_{label}.json", label, tree, digests[label], args,
                     runs[label], other[0] if other else None)
     return 0 if all(run["exit_code"] == 0 for rs in runs.values() for run in rs) else 1
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -15,14 +16,26 @@ RUN_KEYS = {"pair", "order", "exit_code", "wall_s", "cpu_s", "env", "metrics", "
 
 
 def test_bench_writes_paired_files_that_compare(tmp_path):
+    # each tree runs from a fresh temporary copy, which is removed after
+    # the runs: nothing is written into the measured trees
+    parent, scratch = tmp_path / "parent", tmp_path / "tmp"
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, name), parent / name, ignore=skip)
+    shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), parent)
+    scratch.mkdir()
     bench = [sys.executable, os.path.join(ROOT, "bench.py")]
-    subprocess.run(bench + ["--label", "after", "--against", ROOT, "--workload", "cv_tune",
-                            "--pairs", "1", "--smoke"],
-                   cwd=tmp_path, check=True, timeout=300)
+    subprocess.run(bench + ["--label", "after", "--against", str(parent),
+                            "--workload", "cv_tune", "--pairs", "1", "--smoke"],
+                   cwd=tmp_path, env={**os.environ, "TMPDIR": str(scratch)},
+                   check=True, timeout=300)
+    assert not list(scratch.iterdir())
+    assert not list(parent.rglob("__pycache__")) and not (parent / "perfbench" / "out").exists()
     docs = {}
-    for label, other in (("after", "baseline"), ("baseline", "after")):
+    for label, other, tree in (("after", "baseline", ROOT), ("baseline", "after", str(parent))):
         docs[label] = doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
         assert doc["label"] == label and doc["paired_with"] == other
+        assert doc["tree"] == tree
         assert doc["workload"] == "cv_tune" and doc["smoke"] is True
         assert doc["seconds"] == RUN_SECONDS
         [run] = doc["runs"]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -252,6 +255,22 @@ def test_diagnose_outputs(tmp_path, sim_out, capsys):
     (sim_out / "dataset.truth.json").unlink()
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "bare")]) == 2
     assert "beta_star missing" in capsys.readouterr().err
+    # the correlated designs go through simulate, fit and diagnose alike
+    for kind in ("autoregressive", "constant_correlation"):
+        sim = dict(sim_config(seed=2, n=80, p=12), design={"kind": kind, "rho": 0.5})
+        data = tmp_path / kind
+        assert main(["simulate", "--config", write_config(tmp_path, f"{kind}.json", sim),
+                     "--out", str(data)]) == 0
+        csv = {"csv": str(data / "dataset.csv")}
+        cfg = write_config(tmp_path, f"{kind}_fit.json",
+                           {"data": csv, "penalty": {"kind": "scad", "c": 0.65}})
+        assert main(["fit", "--config", cfg, "--out", str(data), "--threads", "1"]) == 0
+        assert read_json(data / "summary.json")["status"] == "converged"
+        cfg = write_config(tmp_path, f"{kind}_diag.json",
+                           {"data": csv, "m": 2, "r": 0.3, "n_beta_samples": 2})
+        assert main(["diagnose", "--config", cfg, "--out", str(data)]) == 0
+        report = read_json(data / "lse.json")
+        assert report["rho_minus"] <= report["rho_plus"]
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -705,3 +724,15 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
     assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
     assert f"config error: --threads must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cold_import_loads_no_process_pool():
+    # `evaluation._pmap` imports the pool only when it maps in parallel, so
+    # a console-script start pays for neither module; a fresh interpreter,
+    # because this one has imported concurrent.futures already
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, tlammcox, tlammcox.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -471,6 +471,23 @@ def test_nonfinite_error_reports_norm():
         # the earlier risk sets are positive: a smaller beta is finite
         value, grad = obj.value_and_gradient(np.array([1.0]))
         assert math.isfinite(value) and np.all(np.isfinite(grad))
+    # S0 stays positive, yet covariates near the float maximum overflow the
+    # value's sums, the score X^T r, and at beta = 0 the Hessian (numpy
+    # warns of the overflow before the guard raises)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = CoxObjective(SurvivalDataset([1.0, 2.0], [1, 1], np.array([[1e308], [1e308]])))
+        with pytest.raises(NonFiniteError, match="partial likelihood is non-finite"):
+            obj.nll(np.array([1.0]))
+        x = np.array([[-1.7e308], [-1.7e308], [1.7e308], [1.7e308]])
+        obj = CoxObjective(SurvivalDataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], x))
+        assert math.isfinite(obj.nll(np.zeros(1)))
+        with pytest.raises(NonFiniteError, match="gradient is non-finite"):
+            obj.gradient(np.zeros(1))
+        obj = CoxObjective(SurvivalDataset([1.0, 2.0, 3.0], [1, 1, 1],
+                                           np.array([[1e200], [-1e200], [1e200]])))
+        assert np.all(np.isfinite(obj.gradient(np.zeros(1))))
+        with pytest.raises(NonFiniteError, match="hessian is non-finite"):
+            obj.hessian(np.zeros(1))
 
 
 def test_fit_restricted_matches_scalar_search():
@@ -492,10 +509,15 @@ def test_fit_restricted_monotone_likelihood(two_point, monkeypatch):
     # coefficient; a tight iteration cap surfaces the limit error instead.
     beta = fit_restricted(two_point, [0])
     assert beta[0] > 10.0
-    monkeypatch.setattr(cox, "_NEWTON_MAX_ITER", 3)
-    with pytest.raises(IterationLimitError) as exc:
-        fit_restricted(two_point, [0])
-    assert exc.value.last_beta is not None
+    # the tolerance is met on the 17th Newton step (gradient 6.2e-9, after
+    # 1.7e-8): a cap of 17 returns the same point, one step less raises
+    monkeypatch.setattr(cox, "_NEWTON_MAX_ITER", 17)
+    assert fit_restricted(two_point, [0]) == beta
+    for cap in (16, 3):
+        monkeypatch.setattr(cox, "_NEWTON_MAX_ITER", cap)
+        with pytest.raises(IterationLimitError) as exc:
+            fit_restricted(two_point, [0])
+        assert exc.value.last_beta is not None
 
 
 def test_fit_restricted_null_consistency():

@@ -69,6 +69,10 @@ def test_invalid_rho_rejected():
         generate_covariates(ConstantCorrelation(1.0), 10, 2, seed=0)
     with pytest.raises(ConfigError):
         generate_covariates(Autoregressive(-0.1), 10, 2, seed=0)
+    # as is an empty draw
+    for n, p in ((0, 2), (10, 0)):
+        with pytest.raises(ConfigError, match="n and p must be positive"):
+            generate_covariates(Independent(), n, p, seed=0)
 
 
 def test_design_rejects_rho_when_built():

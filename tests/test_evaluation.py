@@ -228,10 +228,12 @@ def test_cross_validate_scores_only_finished_fits():
 
 def test_cross_validate_is_alike_at_any_pool_size():
     # one task per fold path, so a pool of three runs each fold's path whole
+    # and a pool of two runs one worker's second path after its first;
+    # equal results are equal criteria, and so equal cv.csv bytes
     ds, _ = simulate_dataset(SimulationConfig(n=90, p=10, s=3, seed=6))
-    one, three = (cross_validate(ds, "scad", c_grid=[0.2, 0.4, 0.6], seed=3, threads=t)
-                  for t in (1, 3))
-    assert one == three
+    one, two, three = (cross_validate(ds, "scad", c_grid=[0.2, 0.4, 0.6], seed=3, threads=t)
+                       for t in (1, 2, 3))
+    assert one == two == three
 
 
 def test_cross_validate_runs_each_fold_as_a_path(monkeypatch):
